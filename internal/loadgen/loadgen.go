@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridsched/internal/rng"
@@ -209,8 +210,8 @@ type Report struct {
 	E2ELatency    LatencySummary `json:"e2e_latency"`
 
 	// Shards breaks the run down by service worker shard, from the
-	// /v1/stats epoch snapshots taken at the start and end of the
-	// measured window. Empty when the target does not report shards.
+	// /v1/stats reads taken at the start and end of the measured
+	// window. Empty when the target does not report shards.
 	Shards []ShardReport `json:"shards,omitempty"`
 }
 
@@ -218,9 +219,7 @@ type Report struct {
 // target service. JobsPerSec is the shard's retirement rate over the
 // window (stolen jobs count on the shard whose worker executed them);
 // QueueDepthPeak is the server-lifetime high-water mark of the shard's
-// queue. Because the service reconciles shard counters into snapshots
-// on an epoch cadence, both window endpoints lag truth equally and the
-// deltas stay honest.
+// queue.
 type ShardReport struct {
 	Shard          int     `json:"shard"`
 	Finished       int64   `json:"finished"`
@@ -384,10 +383,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}()
 	}
 
-	// Per-shard breakdown endpoints: one stats snapshot as the measured
+	// Per-shard breakdown endpoints: one stats read as the measured
 	// window opens, one after the pool drains. Best-effort — a target
-	// without a shards array just yields no breakdown.
-	var beforeShards []shardStatsView
+	// without a shards array just yields no breakdown. The window opens
+	// when the opening read returns, not at the nominal warmup end: a
+	// job submitted after that cannot have retired before the read, so
+	// the shard deltas cover every job the window counts.
+	var (
+		beforeShards []shardStatsView
+		opened       atomic.Pointer[time.Time]
+	)
 	shardSampled := make(chan struct{})
 	go func() {
 		defer close(shardSampled)
@@ -397,6 +402,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		case <-time.After(time.Until(measureFrom)):
 		}
 		beforeShards, _ = fetchShardStats(runCtx, cfg)
+		now := time.Now()
+		opened.Store(&now)
 	}()
 
 	col := &collector{}
@@ -405,24 +412,22 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			client(runCtx, cfg, rng.New(cfg.Seed).Split(uint64(id)), solvers, instances, tokens, measureFrom, col)
+			client(runCtx, cfg, rng.New(cfg.Seed).Split(uint64(id)), solvers, instances, tokens, &opened, col)
 		}(i)
 	}
 	wg.Wait()
 	<-shardSampled
 
-	measured := time.Since(measureFrom)
-	if measured > cfg.Duration {
-		measured = cfg.Duration
-	}
-	if measured <= 0 {
+	openedAt := opened.Load()
+	if openedAt == nil {
 		return nil, fmt.Errorf("loadgen: run ended before the warmup finished")
 	}
+	measured := min(time.Since(*openedAt), cfg.Duration)
 
 	// Close the shard window on a fresh context (runCtx is past its
-	// deadline). Every job the pool polled terminal has already been
-	// folded into its shard's delta and poked the coordinator, so a
-	// short settle covers the merge coalesce.
+	// deadline). A job's terminal state is published just before the
+	// service counts its retirement, so a short settle lets the jobs
+	// the pool polled terminal reach the shard counters.
 	afterCtx, afterCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	time.Sleep(20 * time.Millisecond)
 	afterShards, _ := fetchShardStats(afterCtx, cfg)
@@ -449,8 +454,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // client is one closed-loop worker: submit, poll to terminal, repeat.
+// A job counts in the report when it was submitted after the measured
+// window opened.
 func client(ctx context.Context, cfg Config, r *rng.Rand, solvers, instances *mix,
-	tokens chan struct{}, measureFrom time.Time, col *collector) {
+	tokens chan struct{}, opened *atomic.Pointer[time.Time], col *collector) {
 	for {
 		if ctx.Err() != nil {
 			return
@@ -474,7 +481,8 @@ func client(ctx context.Context, cfg Config, r *rng.Rand, solvers, instances *mi
 		body, _ := json.Marshal(spec)
 
 		t0 := time.Now()
-		measured := !t0.Before(measureFrom)
+		from := opened.Load()
+		measured := from != nil && !t0.Before(*from)
 		view, status, err := postJob(ctx, cfg, body)
 		submitLat := time.Since(t0)
 		if err != nil {

@@ -16,26 +16,23 @@ import (
 // not ±Inf/NaN — rates, and the whole snapshot must survive
 // encoding/json, which refuses non-finite floats.
 func TestStatsZeroDurationJobMarshals(t *testing.T) {
-	sh := newShard(0)
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
 	now := time.Now()
-	sh.retire("minmin", Job{
+	svc.counters("minmin").fold(Job{
 		State:       StateDone,
 		StartedAt:   now,
 		FinishedAt:  now, // zero-duration run
 		Result:      &JobResult{Evaluations: 123},
 		SubmittedAt: now,
-	}, false)
+	})
 	// A retired-while-queued job contributes no busy sample at all:
 	// ran stays 0 for its solver.
-	sh.retire("maxmin", Job{State: StateCancelled, Result: &JobResult{Evaluations: 7}}, false)
+	svc.counters("maxmin").fold(Job{State: StateCancelled, Result: &JobResult{Evaluations: 7}})
 
-	var st Stats
-	_, _, per := sh.drainDelta()
-	for name, c := range per {
-		st.Solvers = append(st.Solvers, deriveSolverStats(name, c))
-	}
+	st := svc.Stats()
 	if len(st.Solvers) != 2 {
-		t.Fatalf("drained delta has %d solvers, want 2", len(st.Solvers))
+		t.Fatalf("stats have %d solvers, want 2", len(st.Solvers))
 	}
 	for _, sv := range st.Solvers {
 		if math.IsInf(sv.EvalsPerSecond, 0) || math.IsNaN(sv.EvalsPerSecond) {

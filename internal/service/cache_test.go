@@ -69,8 +69,8 @@ func TestInstanceCacheFailedJoinAccounting(t *testing.T) {
 	// installed by hand so the join is deterministic (no race against a
 	// fast generator). The waiter must report the error and leave both
 	// counters untouched.
-	// The entry is installed before get runs on this goroutine, so the
-	// join is certain; the helper then fails the flight (p.err is
+	// The entry stays installed until get returns on this goroutine, so
+	// the join is certain; the helper fails the flight (p.err is
 	// visible to the waiter via the channel close, mirroring the real
 	// generation path).
 	p := &pendingGen{done: make(chan struct{})}
@@ -79,14 +79,14 @@ func TestInstanceCacheFailedJoinAccounting(t *testing.T) {
 	c.mu.Unlock()
 	go func() {
 		p.err = errGenerationFailed
-		c.mu.Lock()
-		delete(c.pending, bad)
-		c.mu.Unlock()
 		close(p.done)
 	}()
 	if _, err := c.get(bad); err != errGenerationFailed {
 		t.Fatalf("joined waiter error = %v, want %v", err, errGenerationFailed)
 	}
+	c.mu.Lock()
+	delete(c.pending, bad)
+	c.mu.Unlock()
 	if hits, misses, joins, _ := c.counters(); hits != 0 || misses != 1 || joins != 0 {
 		t.Fatalf("after failed join: %d hits, %d misses, %d joins; want 0/1/0 (failed joins count as nothing)", hits, misses, joins)
 	}
@@ -107,7 +107,9 @@ func TestInstanceCacheFailedJoinAccounting(t *testing.T) {
 // TestInstanceCacheSuccessfulJoinCountsAsJoin pins the hit-vs-join
 // distinction: a waiter served by riding another request's in-flight
 // generation increments joins, not hits. The pending entry is
-// installed by hand so the join is deterministic.
+// installed by hand and stays installed until the waiter returns, so
+// the join is deterministic: the flight may finish before or after the
+// waiter arrives, but the waiter always finds it.
 func TestInstanceCacheSuccessfulJoinCountsAsJoin(t *testing.T) {
 	const name = "u_c_hihi.0"
 	c := newInstanceCache(2)
@@ -125,9 +127,6 @@ func TestInstanceCacheSuccessfulJoinCountsAsJoin(t *testing.T) {
 	c.mu.Unlock()
 	go func() {
 		p.inst = inst
-		c.mu.Lock()
-		delete(c.pending, name)
-		c.mu.Unlock()
 		close(p.done)
 	}()
 
@@ -135,6 +134,9 @@ func TestInstanceCacheSuccessfulJoinCountsAsJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	delete(c.pending, name)
+	c.mu.Unlock()
 	if got != inst {
 		t.Error("join returned a different instance pointer")
 	}

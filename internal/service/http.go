@@ -474,7 +474,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"running":        st.Running,
 		"retained":       st.Retained,
 		"evicted":        st.Evicted,
-		"epoch":          st.Epoch,
 		"shards":         shards,
 		"cache": map[string]any{
 			"hits":    st.CacheHits,

@@ -12,8 +12,8 @@ import (
 // jobs) are scrape-time funcs over the authoritative structures, so
 // the metrics can never drift from /v1/stats; only event counters and
 // the busy gauge are written on the hot path. Every scrape-time func
-// reads atomics or the published epoch snapshot — a scrape acquires no
-// lock, so /metrics can never stall (or be stalled by) the shards.
+// reads atomics — a scrape acquires no lock, so /metrics can never
+// stall (or be stalled by) the shards.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -74,12 +74,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latencyBuckets, "solver")
 	m.evals = reg.CounterVec("gridsched_job_evaluations_total", "Fitness evaluations performed by finished jobs.", "solver")
 
-	// Epoch-snapshot reads: the merge counter and the cross-shard steal
-	// total come from the latest published snapshot (one atomic load).
-	reg.GaugeFunc("gridsched_stats_epoch", "Epoch of the latest merged stats snapshot.",
-		func() float64 { return float64(s.snap.Load().epoch) })
+	// The steal total sums the per-shard counters /v1/stats reports.
 	reg.CounterFunc("gridsched_jobs_stolen_total", "Jobs executed by a worker that stole them from another shard's queue.",
-		func() int64 { return s.snap.Load().stolen })
+		func() int64 {
+			var n int64
+			for _, sh := range s.shards {
+				n += sh.stolen.Load()
+			}
+			return n
+		})
 	reg.CounterFunc("gridsched_jobs_evicted_total", "Finished jobs dropped by the retention janitor.",
 		func() int64 { return s.evicted.Load() })
 

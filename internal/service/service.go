@@ -10,11 +10,11 @@
 // job's ID carries its shard index, so the Submit→dispatch→finish hot
 // path and all by-ID lookups touch only shard-local state. Idle
 // workers steal queued jobs from loaded neighbors so a skewed submit
-// mix still saturates every shard. A coordinator goroutine advances
-// epochs, merging per-shard retirement deltas into an immutable
-// snapshot; /v1/stats and /metrics are served from the latest epoch
-// snapshot plus live atomic gauges, with zero lock acquisition on the
-// read path.
+// mix still saturates every shard. Workers add each job they retire
+// to atomic counters (per shard, and per solver name server-wide);
+// /v1/stats and /metrics sum those counters at read time, with zero
+// lock acquisition on the read path. Each counter is individually
+// monotone, and a job is in every counter once Wait on it returns.
 //
 // Around that core the package provides a job manager with stable job
 // IDs and a queued → running → done/failed/cancelled lifecycle, result
@@ -78,11 +78,6 @@ type Config struct {
 	// QueueSize bounds the total queued jobs across all shards; submits
 	// beyond it fail with ErrQueueFull (default 64).
 	QueueSize int
-	// EpochInterval is the fallback cadence of the stats coordinator's
-	// epoch merges (default 100ms). Retiring jobs poke the coordinator,
-	// so under load merges happen within ~1ms of work finishing; the
-	// tick only bounds staleness when pokes are lost to a full channel.
-	EpochInterval time.Duration
 	// ResultTTL is how long a finished job (done, failed or cancelled)
 	// stays retrievable before the janitor evicts it (default 15 min).
 	ResultTTL time.Duration
@@ -141,9 +136,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
 	}
-	if c.EpochInterval <= 0 {
-		c.EpochInterval = 100 * time.Millisecond
-	}
 	if c.ResultTTL <= 0 {
 		c.ResultTTL = 15 * time.Minute
 	}
@@ -166,7 +158,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the scheduling service: sharded job stores and run queues,
-// a pinned worker pool with work stealing, an epoch-merged stats book
+// a pinned worker pool with work stealing, lock-free stats counters
 // and an instance cache behind one embeddable API. Create it with New,
 // submit with Submit, and stop it with Shutdown. All methods are safe
 // for concurrent use.
@@ -183,57 +175,47 @@ type Server struct {
 	shards    []*shard
 	nextShard atomic.Uint64 // round-robin intake cursor
 	queueLen  atomic.Int64  // occupied queue slots across all shards
-	wakeAll   chan struct{} // overflow wakeups: any idle worker may steal
+	wake      chan struct{} // one token per pending wakeup, up to Workers
 	drainCh   chan struct{} // closed by BeginDrain; wakes sleeping workers
 	closed    atomic.Bool
 
 	workers sync.WaitGroup
-	bg      sync.WaitGroup // janitor + coordinator
+	janitor sync.WaitGroup
 
 	evicted     atomic.Int64
 	storeServes atomic.Int64 // named resolutions served by InstanceDB
 
-	// Epoch reconciliation: merge() (serialized by mergeMu) drains every
-	// shard's delta into the cumulative book and publishes an immutable
-	// snapshot; readers load snap with no lock.
-	snap       atomic.Pointer[statSnapshot]
-	poke       chan struct{}
-	mergeMu    sync.Mutex
-	epoch      uint64
-	cumSolvers map[string]*solverCounters
-	cumShards  []shardCum
+	// solvers maps a solver name to its *solverCounters. Names are
+	// keys, not registry indices, because schemes such as
+	// "portfolio:pa-cga+tabu" resolve to names at Submit time.
+	solvers sync.Map
 }
 
-// New starts a Server: its worker pool, stats coordinator and
-// retention janitor run until Shutdown.
+// New starts a Server: its worker pool and retention janitor run until
+// Shutdown.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		cache:      newInstanceCache(cfg.CacheSize),
-		log:        cfg.Logger,
-		start:      time.Now(),
-		baseCtx:    ctx,
-		stop:       cancel,
-		shards:     make([]*shard, cfg.Shards),
-		wakeAll:    make(chan struct{}, cfg.Workers),
-		drainCh:    make(chan struct{}),
-		poke:       make(chan struct{}, 1),
-		cumSolvers: make(map[string]*solverCounters),
-		cumShards:  make([]shardCum, cfg.Shards),
+		cfg:     cfg,
+		cache:   newInstanceCache(cfg.CacheSize),
+		log:     cfg.Logger,
+		start:   time.Now(),
+		baseCtx: ctx,
+		stop:    cancel,
+		shards:  make([]*shard, cfg.Shards),
+		wake:    make(chan struct{}, cfg.Workers),
+		drainCh: make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard(i)
 	}
-	s.snap.Store(emptySnapshot(cfg.Shards))
 	s.met = newServerMetrics(s)
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.runWorker(i % cfg.Shards)
 	}
-	s.bg.Add(2)
-	go s.coordinate()
+	s.janitor.Add(1)
 	go s.sweepLoop()
 	return s
 }
@@ -311,14 +293,11 @@ func (s *Server) submit(spec JobSpec) (Job, error) {
 	sh.q = append(sh.q, j)
 	sh.mu.Unlock()
 
-	// Wake the shard's pinned workers, and leave an overflow token so
-	// an idle worker on another shard can come steal if they're busy.
+	// Wake one idle worker. It scans its home shard and then steals, so
+	// any worker can serve the job. A full channel already holds a token
+	// for every worker, so a failed send loses no wakeup.
 	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-	select {
-	case s.wakeAll <- struct{}{}:
+	case s.wake <- struct{}{}:
 	default:
 	}
 	return j.snapshot(), nil
@@ -421,23 +400,24 @@ func (s *Server) Cancel(id string) (Job, error) {
 	return j.snapshot(), nil
 }
 
-// Stats returns the service-level and per-solver counters: live atomic
-// gauges (queued/running/retained, cache, store) plus the latest epoch
-// snapshot's merged retirement counters. It acquires no lock — safe to
-// call at any scrape rate regardless of what the shards are doing.
-// Per-solver counters trail live work by at most one epoch; SyncStats
-// forces a merge first when exactness right after a Wait matters.
+// Stats returns the service-level and per-solver counters, each loaded
+// from its live atomic. It acquires no lock — safe to call at any
+// scrape rate regardless of what the shards are doing. Every counter
+// is individually monotone, and a job is in every counter once Wait on
+// it has returned; the Stats type says what a read under load shows.
 func (s *Server) Stats() Stats {
-	snap := s.snap.Load()
 	st := Stats{
 		Uptime:        time.Since(s.start),
 		Workers:       s.cfg.Workers,
 		QueueCapacity: s.cfg.QueueSize,
-		Epoch:         snap.epoch,
 		Evicted:       s.evicted.Load(),
 		StoreServes:   s.storeServes.Load(),
-		Solvers:       append([]SolverStats(nil), snap.solvers...),
 	}
+	s.solvers.Range(func(name, c any) bool {
+		st.Solvers = append(st.Solvers, deriveSolverStats(name.(string), c.(*solverCounters)))
+		return true
+	})
+	sort.Slice(st.Solvers, func(i, j int) bool { return st.Solvers[i].Solver < st.Solvers[j].Solver })
 	st.CacheHits, st.CacheMisses, st.CacheJoins, st.CacheEntries = s.cache.counters()
 	if db := s.cfg.InstanceDB; db != nil {
 		st.StoreInstances = db.Len()
@@ -448,19 +428,16 @@ func (s *Server) Stats() Stats {
 		st.Queued += int(q)
 		st.Running += int(r)
 		st.Retained += int(ret)
-		ss := ShardStats{
+		st.Shards[i] = ShardStats{
 			Shard:          i,
 			Submitted:      sh.submitted.Load(),
+			Finished:       sh.finished.Load(),
+			Stolen:         sh.stolen.Load(),
 			Queued:         int(q),
 			Running:        int(r),
 			Retained:       int(ret),
 			QueueDepthPeak: int(sh.peakDepth.Load()),
 		}
-		if i < len(snap.shards) {
-			ss.Finished = snap.shards[i].finished
-			ss.Stolen = snap.shards[i].stolen
-		}
-		st.Shards[i] = ss
 	}
 	return st
 }
@@ -488,9 +465,8 @@ func (s *Server) BeginDrain() {
 // execute, and Shutdown returns when every worker has exited — unless
 // ctx expires first, in which case all in-flight jobs are cancelled
 // (through their budget contexts) and the drain completes as fast as
-// the solvers' cancellation polls allow. The coordinator and janitor
-// are always stopped, with a final epoch merge so post-shutdown Stats
-// include every retired job. Shutdown is idempotent.
+// the solvers' cancellation polls allow. The janitor is always
+// stopped. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
 
@@ -509,10 +485,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.stop()
-	s.bg.Wait()
-	// The coordinator's exit merge may have raced the last workers on a
-	// forced shutdown; one more merge makes post-shutdown stats final.
-	s.merge()
+	s.janitor.Wait()
 	return err
 }
 
@@ -531,7 +504,7 @@ func (s *Server) Close() error {
 
 // sweepLoop evicts finished jobs past their retention TTL.
 func (s *Server) sweepLoop() {
-	defer s.bg.Done()
+	defer s.janitor.Done()
 	tick := time.NewTicker(s.cfg.SweepInterval)
 	defer tick.Stop()
 	for {

@@ -100,7 +100,7 @@ func pollState(t *testing.T, base, id string, timeout time.Duration, pred func(j
 // reads the result, the solver listing and the stats — the service's
 // whole happy path through the real mux.
 func TestEndToEndHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	svc, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8})
 
 	var sub jobJSON
 	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
@@ -145,34 +145,35 @@ func TestEndToEndHTTP(t *testing.T) {
 		}
 	}
 
-	// Stats reflect the finished job. The per-solver counters are
-	// epoch-merged, so they may trail the job's terminal state by a
-	// merge; poll briefly rather than assuming instant visibility.
+	// Stats reflect the finished job. The terminal state is published
+	// before the retirement is counted, so the poll above cannot order
+	// the read; Wait can: once it returns, the job is in every counter.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := svc.Wait(ctx, sub.ID); err != nil {
+		t.Fatal(err)
+	}
 	var stats struct {
-		Epoch   uint64 `json:"epoch"`
-		Shards  []any  `json:"shards"`
+		Shards []struct {
+			Finished int64 `json:"finished"`
+		} `json:"shards"`
 		Solvers []struct {
 			Solver string `json:"solver"`
 			Done   int64  `json:"done"`
 		} `json:"solvers"`
 	}
-	found := false
-	for deadline := time.Now().Add(5 * time.Second); !found && time.Now().Before(deadline); {
-		doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", &stats)
-		for _, s := range stats.Solvers {
-			if s.Solver == "minmin" && s.Done == 1 {
-				found = true
-			}
-		}
-		if !found {
-			time.Sleep(5 * time.Millisecond)
-		}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", code)
 	}
-	if !found {
-		t.Errorf("stats missing minmin done=1: %+v", stats.Solvers)
+	if len(stats.Solvers) != 1 || stats.Solvers[0].Solver != "minmin" || stats.Solvers[0].Done != 1 {
+		t.Errorf("stats solvers = %+v, want just minmin done=1", stats.Solvers)
 	}
-	if found && stats.Epoch == 0 {
-		t.Errorf("stats carry merged counters but epoch 0")
+	var finished int64
+	for _, sh := range stats.Shards {
+		finished += sh.Finished
+	}
+	if finished != 1 {
+		t.Errorf("shards finished %d jobs in total, want 1", finished)
 	}
 	if len(stats.Shards) == 0 {
 		t.Errorf("stats missing per-shard breakdown")
@@ -186,7 +187,10 @@ func TestEndToEndHTTP(t *testing.T) {
 
 // TestConcurrentJobs pushes many jobs through a small pool and checks
 // they all complete and that the instance cache deduplicates the
-// benchmark matrix generation.
+// benchmark matrix generation. Concurrent submits of one name may
+// join the in-flight generation instead of hitting the cached entry,
+// so hits and joins together account for every request but the one
+// miss.
 func TestConcurrentJobs(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 4, QueueSize: 32})
 
@@ -221,8 +225,8 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 
 	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Errorf("cache hits/misses = %d/%d, want %d/1", st.CacheHits, st.CacheMisses, n-1)
+	if st.CacheMisses != 1 || st.CacheHits+st.CacheJoins != n-1 {
+		t.Errorf("cache hits+joins/misses = %d+%d/%d, want %d/1", st.CacheHits, st.CacheJoins, st.CacheMisses, n-1)
 	}
 }
 

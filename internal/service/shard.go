@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // shard is one slice of the service core: a local job store, a local
@@ -14,9 +13,9 @@ import (
 // Jobs are placed on a shard at Submit (round-robin) and carry the
 // shard index in their ID, so every later operation — dispatch, state
 // transition, Cancel, Job, Wait, Trace, eviction — touches only this
-// shard's state. Cross-shard traffic exists in exactly two places:
-// idle workers stealing queued jobs from loaded neighbors, and the
-// stats coordinator draining each shard's delta once per epoch.
+// shard's state. The cross-shard paths are an idle worker stealing
+// queued jobs from a loaded neighbor, and the server-wide per-solver
+// stats counters every worker adds to.
 type shard struct {
 	idx int
 
@@ -27,12 +26,6 @@ type shard struct {
 	jobs map[string]*job
 	q    []*job // FIFO; q[head:] are waiting jobs
 	head int
-
-	// wake holds one pending wakeup for this shard's pinned workers. A
-	// failed try-send means a wakeup is already pending, in which case
-	// the submit spills its wakeup to the server-wide channel so an
-	// idle worker on another shard can come steal.
-	wake chan struct{}
 
 	// Live gauges, updated on job state transitions and read lock-free
 	// by Stats and the /metrics gauge funcs. They are tied to the job
@@ -45,30 +38,17 @@ type shard struct {
 	peakDepth atomic.Int64
 	submitted atomic.Int64
 
-	// delta accumulates retirement counters between epoch merges; the
-	// coordinator drains and resets it each epoch. Workers pinned to
-	// this shard fold every job they retire (their own or stolen) here,
-	// so the hot path takes only this shard-local lock, never a global
-	// stats lock.
-	delta shardDelta
-}
-
-// shardDelta is the since-last-epoch retirement ledger of one shard.
-type shardDelta struct {
-	mu        sync.Mutex
-	finished  int64 // jobs retired by this shard's workers
-	stolen    int64 // of those, jobs taken from another shard's queue
-	perSolver map[string]*solverCounters
+	// Retirement counters. Workers pinned to this shard add every job
+	// they retire (their own or stolen) here; readers load them with
+	// no lock.
+	finished atomic.Int64 // jobs retired by this shard's workers
+	stolen   atomic.Int64 // of those, jobs taken from another shard's queue
 }
 
 func newShard(idx int) *shard {
 	return &shard{
 		idx:  idx,
 		jobs: make(map[string]*job),
-		wake: make(chan struct{}, 1),
-		delta: shardDelta{
-			perSolver: make(map[string]*solverCounters),
-		},
 	}
 }
 
@@ -94,45 +74,17 @@ func (sh *shard) pop() *job {
 // noteQueued bumps the queued gauge and folds the new depth into the
 // peak watermark.
 func (sh *shard) noteQueued() {
-	d := sh.queued.Add(1)
+	storeMax(&sh.peakDepth, sh.queued.Add(1))
+}
+
+// storeMax raises a to v unless it already holds at least v.
+func storeMax(a *atomic.Int64, v int64) {
 	for {
-		p := sh.peakDepth.Load()
-		if d <= p || sh.peakDepth.CompareAndSwap(p, d) {
+		p := a.Load()
+		if v <= p || a.CompareAndSwap(p, v) {
 			return
 		}
 	}
-}
-
-// retire folds one retired job into the shard's epoch delta. stolen
-// marks a job this shard's worker took from another shard's queue.
-func (sh *shard) retire(solverName string, snap Job, stolen bool) {
-	d := &sh.delta
-	d.mu.Lock()
-	d.finished++
-	if stolen {
-		d.stolen++
-	}
-	c := d.perSolver[solverName]
-	if c == nil {
-		c = &solverCounters{}
-		d.perSolver[solverName] = c
-	}
-	c.fold(snap)
-	d.mu.Unlock()
-}
-
-// drainDelta moves the delta out for an epoch merge, resetting it.
-func (sh *shard) drainDelta() (finished, stolen int64, perSolver map[string]*solverCounters) {
-	d := &sh.delta
-	d.mu.Lock()
-	finished, stolen = d.finished, d.stolen
-	d.finished, d.stolen = 0, 0
-	if len(d.perSolver) > 0 {
-		perSolver = d.perSolver
-		d.perSolver = make(map[string]*solverCounters)
-	}
-	d.mu.Unlock()
-	return finished, stolen, perSolver
 }
 
 // jobID renders a shard-qualified job ID. The shard index rides in the
@@ -159,49 +111,35 @@ func parseShardID(id string) (shard int, ok bool) {
 	return n, true
 }
 
-// solverCounters aggregates the retired jobs of one solver name —
-// accumulated per shard between epochs, merged into the cumulative
-// book by the coordinator.
+// solverCounters aggregates the retired jobs of one solver name
+// across every shard. Workers add to it as they retire jobs and
+// readers load each field on its own, so every counter is monotone
+// and no read takes a lock.
 type solverCounters struct {
-	done, failed, cancelled int64
-	evaluations             int64
-	busy                    time.Duration
-	maxLatency              time.Duration
-	ran                     int64
+	done, failed, cancelled atomic.Int64
+	evaluations             atomic.Int64
+	busy                    atomic.Int64 // ns
+	maxLatency              atomic.Int64 // ns
+	ran                     atomic.Int64
 }
 
 // fold adds one retired job's snapshot to the counters.
 func (c *solverCounters) fold(j Job) {
 	switch j.State {
 	case StateDone:
-		c.done++
+		c.done.Add(1)
 	case StateFailed:
-		c.failed++
+		c.failed.Add(1)
 	case StateCancelled:
-		c.cancelled++
+		c.cancelled.Add(1)
 	}
 	if !j.StartedAt.IsZero() && !j.FinishedAt.IsZero() {
-		latency := j.FinishedAt.Sub(j.StartedAt)
-		c.busy += latency
-		c.ran++
-		if latency > c.maxLatency {
-			c.maxLatency = latency
-		}
+		latency := int64(j.FinishedAt.Sub(j.StartedAt))
+		c.busy.Add(latency)
+		c.ran.Add(1)
+		storeMax(&c.maxLatency, latency)
 	}
 	if j.Result != nil {
-		c.evaluations += j.Result.Evaluations
-	}
-}
-
-// add merges another counter set into this one.
-func (c *solverCounters) add(o *solverCounters) {
-	c.done += o.done
-	c.failed += o.failed
-	c.cancelled += o.cancelled
-	c.evaluations += o.evaluations
-	c.busy += o.busy
-	c.ran += o.ran
-	if o.maxLatency > c.maxLatency {
-		c.maxLatency = o.maxLatency
+		c.evaluations.Add(j.Result.Evaluations)
 	}
 }

@@ -28,15 +28,15 @@ func TestJobIDRouting(t *testing.T) {
 	}
 }
 
-// TestEpochMergeProperty is the coordinator's correctness property
+// TestStatsCounterProperty is the stats book's correctness property
 // under churn: while jobs retire across shards, concurrently observed
-// snapshots must (a) never repeat or regress an epoch, (b) carry
-// monotonically non-decreasing counters, and (c) at quiescence merge
-// to exactly the sum of what the shards retired — per-shard finished
-// totals equal to the per-solver done/failed/cancelled totals, equal
-// to the number of jobs submitted.
-func TestEpochMergeProperty(t *testing.T) {
-	svc := New(Config{Workers: 4, Shards: 4, QueueSize: 256, EpochInterval: 5 * time.Millisecond})
+// totals (per-shard finished, per-solver done+failed+cancelled,
+// submitted) must never regress, and once the last Wait has returned
+// — with no other synchronisation — the three totals must agree
+// exactly with the number of jobs submitted, and no shard may report
+// more steals than retirements.
+func TestStatsCounterProperty(t *testing.T) {
+	svc := New(Config{Workers: 4, Shards: 4, QueueSize: 256})
 	defer svc.Close()
 
 	const jobs = 120
@@ -45,40 +45,29 @@ func TestEpochMergeProperty(t *testing.T) {
 
 	// Observer: sample Stats as fast as possible during the churn.
 	var (
-		obsWG     sync.WaitGroup
-		stopObs   = make(chan struct{})
-		lastEpoch uint64
-		lastTotal int64
+		obsWG   sync.WaitGroup
+		stopObs = make(chan struct{})
+		reads   int
 	)
 	obsWG.Add(1)
 	go func() {
 		defer obsWG.Done()
-		seen := map[uint64]int64{} // epoch -> total finished at that epoch
+		var last [3]int64 // finished, retired per solver, submitted
 		for {
 			select {
 			case <-stopObs:
 				return
 			default:
 			}
-			st := svc.Stats()
-			var total int64
-			for _, sh := range st.Shards {
-				total += sh.Finished
+			cur := counterTotals(svc.Stats())
+			reads++
+			for k, name := range []string{"per-shard finished", "per-solver retired", "submitted"} {
+				if cur[k] < last[k] {
+					t.Errorf("%s total regressed: %d after %d", name, cur[k], last[k])
+					return
+				}
 			}
-			if st.Epoch < lastEpoch {
-				t.Errorf("epoch regressed: %d after %d", st.Epoch, lastEpoch)
-				return
-			}
-			if total < lastTotal {
-				t.Errorf("merged finished total regressed: %d after %d", total, lastTotal)
-				return
-			}
-			if prev, ok := seen[st.Epoch]; ok && prev != total {
-				t.Errorf("epoch %d observed twice with different totals: %d then %d", st.Epoch, prev, total)
-				return
-			}
-			seen[st.Epoch] = total
-			lastEpoch, lastTotal = st.Epoch, total
+			last = cur
 		}
 	}()
 
@@ -100,28 +89,34 @@ func TestEpochMergeProperty(t *testing.T) {
 	}
 	close(stopObs)
 	obsWG.Wait()
+	if reads == 0 {
+		t.Error("observer never read Stats during the churn")
+	}
 
-	// Quiescent merge: everything retired must be accounted for, and
-	// the three views of "how many jobs" must agree exactly.
-	st := svc.SyncStats()
-	var perShard, perSolver, submitted int64
+	st := svc.Stats()
 	for _, sh := range st.Shards {
-		perShard += sh.Finished
-		submitted += sh.Submitted
 		if sh.Stolen > sh.Finished {
 			t.Errorf("shard %d: stolen %d > finished %d", sh.Shard, sh.Stolen, sh.Finished)
 		}
 	}
+	if got := counterTotals(st); got != [3]int64{jobs, jobs, jobs} {
+		t.Errorf("totals after the last Wait: per-shard %d, per-solver %d, submitted %d, want %d each",
+			got[0], got[1], got[2], jobs)
+	}
+}
+
+// counterTotals sums a Stats read into its per-shard finished,
+// per-solver retired (done+failed+cancelled) and submitted totals.
+func counterTotals(st Stats) [3]int64 {
+	var tot [3]int64
+	for _, sh := range st.Shards {
+		tot[0] += sh.Finished
+		tot[2] += sh.Submitted
+	}
 	for _, sv := range st.Solvers {
-		perSolver += sv.Done + sv.Failed + sv.Cancelled
+		tot[1] += sv.Done + sv.Failed + sv.Cancelled
 	}
-	if perShard != jobs || perSolver != jobs || submitted != jobs {
-		t.Errorf("merged totals disagree: per-shard %d, per-solver %d, submitted %d, want %d each",
-			perShard, perSolver, submitted, jobs)
-	}
-	if st.Epoch == 0 {
-		t.Error("work retired but epoch never advanced")
-	}
+	return tot
 }
 
 // TestWorkStealingDrainsOtherShards pins the steal path directly: one
@@ -151,7 +146,7 @@ func TestWorkStealingDrainsOtherShards(t *testing.T) {
 			t.Fatalf("job %s: state %s (error %q)", id, j.State, j.Error)
 		}
 	}
-	st := svc.SyncStats()
+	st := svc.Stats()
 	if st.Shards[0].Finished != jobs {
 		t.Errorf("the lone worker's shard retired %d jobs, want all %d", st.Shards[0].Finished, jobs)
 	}
@@ -197,7 +192,7 @@ func TestWorkStealingSaturatesUnderSkew(t *testing.T) {
 	if j, err := svc.Job(blocker.ID); err != nil || j.State != StateRunning {
 		t.Fatalf("blocker state = %v (err %v), want still running", j.State, err)
 	}
-	st := svc.SyncStats()
+	st := svc.Stats()
 	var stolen int64
 	for _, sh := range st.Shards {
 		stolen += sh.Stolen
@@ -211,14 +206,13 @@ func TestWorkStealingSaturatesUnderSkew(t *testing.T) {
 }
 
 // TestStatsReadLockFree pins the acceptance criterion that /v1/stats
-// and /metrics are served from epoch snapshots and live atomics with
-// no per-shard lock acquisition: with EVERY shard lock, every shard
-// delta lock and the instance-cache lock held hostage, Stats() and a
-// full metrics scrape must still return.
+// and /metrics are served from live atomics with no per-shard lock
+// acquisition: with EVERY shard lock and the instance-cache lock held
+// hostage, Stats() and a full metrics scrape must still return.
 func TestStatsReadLockFree(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2, Shards: 2, QueueSize: 8})
 
-	// Retire some work first so the snapshot is non-trivial.
+	// Retire some work first so the counters are non-trivial.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	j, err := svc.Submit(JobSpec{Solver: "minmin", Instance: "u_c_hihi.0@64x8"})
@@ -228,13 +222,10 @@ func TestStatsReadLockFree(t *testing.T) {
 	if _, err := svc.Wait(ctx, j.ID); err != nil {
 		t.Fatal(err)
 	}
-	svc.SyncStats()
 
 	for _, sh := range svc.shards {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		sh.delta.mu.Lock()
-		defer sh.delta.mu.Unlock()
 	}
 	svc.cache.mu.Lock()
 	defer svc.cache.mu.Unlock()
@@ -250,8 +241,8 @@ func TestStatsReadLockFree(t *testing.T) {
 	}()
 	select {
 	case r := <-got:
-		if r.stats.Epoch == 0 {
-			t.Errorf("snapshot epoch 0 after a merged retirement")
+		if got := counterTotals(r.stats); got != [3]int64{1, 1, 1} {
+			t.Errorf("totals (finished, retired, submitted) = %v after one job, want 1 each", got)
 		}
 		if len(r.body) == 0 {
 			t.Errorf("empty metrics exposition")
@@ -323,7 +314,7 @@ func TestListJobsFilters(t *testing.T) {
 // once, then Shutdown races the storm. Every accepted job must end
 // terminal.
 func TestShardStormRace(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 4, Shards: 4, QueueSize: 64, EpochInterval: 2 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 4, Shards: 4, QueueSize: 64})
 
 	var (
 		mu       sync.Mutex

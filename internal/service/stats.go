@@ -24,7 +24,7 @@ type SolverStats struct {
 }
 
 // ShardStats is one shard's slice of the service: live occupancy
-// gauges plus the epoch snapshot's cumulative retirement counters.
+// gauges plus cumulative retirement counters.
 // Submitted counts jobs placed on this shard at intake; Finished
 // counts jobs retired by this shard's workers (a stolen job counts on
 // the thief, which is what makes imbalance visible); Stolen is the
@@ -40,10 +40,11 @@ type ShardStats struct {
 	QueueDepthPeak int
 }
 
-// Stats is a point-in-time snapshot of the service: live atomic gauges
-// plus the latest epoch-merged counters (Epoch identifies the merge
-// they came from; per-solver counters trail live work by at most one
-// epoch).
+// Stats is a snapshot of the service's live atomic counters, read one
+// by one with no lock. Each counter is monotone (the gauges aside) but
+// the set is not read atomically, so under load per-shard and
+// per-solver totals can differ by jobs retiring mid-read. A job is in
+// every counter once Wait on it has returned.
 type Stats struct {
 	Uptime        time.Duration
 	Workers       int
@@ -52,10 +53,6 @@ type Stats struct {
 	Running       int
 	Retained      int
 	Evicted       int64
-
-	// Epoch is the stats coordinator's merge counter — the epoch the
-	// Solvers and per-shard Finished/Stolen counters were merged at.
-	Epoch uint64
 
 	CacheHits int64
 	// CacheJoins counts requests served by riding another request's
@@ -81,15 +78,15 @@ type Stats struct {
 func deriveSolverStats(name string, c *solverCounters) SolverStats {
 	s := SolverStats{
 		Solver:      name,
-		Done:        c.done,
-		Failed:      c.failed,
-		Cancelled:   c.cancelled,
-		Evaluations: c.evaluations,
-		BusyTime:    c.busy,
-		MaxLatency:  c.maxLatency,
+		Done:        c.done.Load(),
+		Failed:      c.failed.Load(),
+		Cancelled:   c.cancelled.Load(),
+		Evaluations: c.evaluations.Load(),
+		BusyTime:    time.Duration(c.busy.Load()),
+		MaxLatency:  time.Duration(c.maxLatency.Load()),
 	}
-	s.MeanLatency = meanLatency(c.busy, c.ran)
-	s.EvalsPerSecond = safeRate(float64(c.evaluations), c.busy.Seconds())
+	s.MeanLatency = meanLatency(s.BusyTime, c.ran.Load())
+	s.EvalsPerSecond = safeRate(float64(s.Evaluations), s.BusyTime.Seconds())
 	return s
 }
 

@@ -10,8 +10,8 @@ import (
 
 // runWorker is one solve worker, pinned to home shard `home`. It
 // drains its own shard's queue first and steals from loaded neighbors
-// when home is empty, sleeping on the shard's wake channel (plus the
-// server-wide overflow channel) when the whole service is idle.
+// when home is empty, sleeping on the server's wake channel when the
+// whole service is idle.
 func (s *Server) runWorker(home int) {
 	defer s.workers.Done()
 	sh := s.shards[home]
@@ -31,8 +31,7 @@ func (s *Server) runWorker(home int) {
 			continue
 		}
 		select {
-		case <-sh.wake:
-		case <-s.wakeAll:
+		case <-s.wake:
 		case <-s.drainCh:
 		}
 	}
@@ -57,16 +56,16 @@ func (s *Server) dequeue(home int) (*job, int) {
 }
 
 // execute runs one dequeued job to retirement. `by` is the executing
-// worker's home shard — retirement counters land there (not on the
-// job's owning shard) so a worker only ever writes its own shard's
-// delta; stolen marks a job taken from another shard's queue.
+// worker's home shard — the per-shard retirement counters land there
+// (not on the job's owning shard), so a stolen job counts on the
+// thief; stolen marks a job taken from another shard's queue.
 //
 // A job cancelled while queued is retired without running — including
 // one whose context a forced shutdown (or a client Cancel racing the
 // dequeue) already cancelled: running it anyway would make drain
 // latency depend on every solver noticing the dead context, and
 // zero-budget heuristics never would. Either way the job reaches a
-// terminal state, its retirement is folded into the stats delta and
+// terminal state, its retirement is folded into the stats counters and
 // metrics BEFORE its waiters are released, so a Wait-then-read of any
 // counter observes the finished job.
 func (s *Server) execute(j *job, by *shard, stolen bool) {
@@ -88,9 +87,13 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 		s.met.busy.Add(-1)
 	}
 	// Fold the retired job (ran or cancelled-while-queued) into the
-	// executing shard's delta and the event metrics.
+	// stats counters and the event metrics.
 	snap := j.snapshot()
-	by.retire(j.spec.Solver, snap, stolen)
+	s.counters(j.spec.Solver).fold(snap)
+	by.finished.Add(1)
+	if stolen {
+		by.stolen.Add(1)
+	}
 	s.met.finished.With(finishLabel(snap.State, panicked)).Inc()
 	attrs := []any{
 		"job_id", j.id, "solver", j.spec.Solver, "instance", j.inst.Name,
@@ -116,7 +119,16 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 	}
 	s.log.Info("job finished", attrs...)
 	j.signalDone()
-	s.pokeCoordinator()
+}
+
+// counters returns the named solver's stats counters, creating them on
+// the solver's first retirement.
+func (s *Server) counters(name string) *solverCounters {
+	c, ok := s.solvers.Load(name)
+	if !ok {
+		c, _ = s.solvers.LoadOrStore(name, &solverCounters{})
+	}
+	return c.(*solverCounters)
 }
 
 // solve runs the job's solver, containing panics. A solver that

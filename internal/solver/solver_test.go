@@ -142,7 +142,24 @@ func (s stubSolver) Solve(ctx context.Context, inst *etc.Instance, b Budget) (*R
 }
 func (s stubSolver) WithSeed(seed uint64) Solver { s.seed = seed; return s }
 
+// unregisterAfter drops the named solvers and scheme prefixes from the
+// process-global registry when the test ends, so tests that register
+// stubs can run again under -count N.
+func unregisterAfter(t *testing.T, names, schemePrefixes []string) {
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		for _, n := range names {
+			delete(registry, n)
+		}
+		for _, p := range schemePrefixes {
+			delete(schemes, p)
+		}
+	})
+}
+
 func TestRegistry(t *testing.T) {
+	unregisterAfter(t, []string{"stub-a", "stub-b"}, nil)
 	Register(stubSolver{name: "stub-a"})
 	Register(stubSolver{name: "stub-b"})
 
@@ -395,6 +412,7 @@ func TestEngineFromContext(t *testing.T) {
 }
 
 func TestRegisterScheme(t *testing.T) {
+	unregisterAfter(t, []string{"stub-scheme:exact"}, []string{"stub-scheme"})
 	RegisterScheme("stub-scheme", func(name string) (Solver, error) {
 		if name == "stub-scheme:bad" {
 			return nil, context.Canceled
