@@ -5,6 +5,7 @@
 package gridsched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -35,8 +36,7 @@ func BenchmarkTable1DefaultConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := DefaultParams()
 		p.Seed = uint64(i)
-		p.MaxEvaluations = 2000
-		if _, err := Run(in, p); err != nil {
+		if _, err := (PACGA{Params: p}).Solve(context.Background(), in, Budget{MaxEvaluations: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,8 +60,7 @@ func BenchmarkFig4SpeedupEvaluations(b *testing.B) {
 					p.Local = operators.H2LL{Iterations: ls}
 					p.Threads = threads
 					p.Seed = uint64(i)
-					p.MaxDuration = wall
-					res, err := Run(in, p)
+					res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxDuration: wall})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -98,8 +97,7 @@ func BenchmarkFig5OperatorConfigs(b *testing.B) {
 				p.Crossover = cfg.cx
 				p.Local = operators.H2LL{Iterations: cfg.ls}
 				p.Seed = uint64(i)
-				p.MaxEvaluations = 4000
-				res, err := Run(in, p)
+				res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 4000})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +129,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 	}
 	b.Run("struggle-ga", func(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
-			res, err := RunStruggle(in, StruggleConfig{Seed: seed, SeedMinMin: true, MaxEvaluations: budget})
+			res, err := StruggleSolver{Config: StruggleConfig{Seed: seed, SeedMinMin: true}}.Solve(context.Background(), in, Budget{MaxEvaluations: budget})
 			if err != nil {
 				return 0, err
 			}
@@ -140,7 +138,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 	})
 	b.Run("cma-lth", func(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
-			res, err := RunCMALTH(in, CMALTHConfig{Seed: seed, SeedMinMin: true, MaxEvaluations: budget})
+			res, err := CMALTHSolver{Config: CMALTHConfig{Seed: seed, SeedMinMin: true}}.Solve(context.Background(), in, Budget{MaxEvaluations: budget})
 			if err != nil {
 				return 0, err
 			}
@@ -151,8 +149,8 @@ func BenchmarkTable2Comparison(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
 			p := DefaultParams()
 			p.Seed = seed
-			p.MaxEvaluations = budget / 9 // the paper's CPU-ratio column
-			res, err := Run(in, p)
+			short := Budget{MaxEvaluations: budget / 9} // the paper's CPU-ratio column
+			res, err := PACGA{Params: p}.Solve(context.Background(), in, short)
 			if err != nil {
 				return 0, err
 			}
@@ -163,8 +161,7 @@ func BenchmarkTable2Comparison(b *testing.B) {
 		report(b, func(seed uint64) (float64, error) {
 			p := DefaultParams()
 			p.Seed = seed
-			p.MaxEvaluations = budget
-			res, err := Run(in, p)
+			res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: budget})
 			if err != nil {
 				return 0, err
 			}
@@ -187,9 +184,8 @@ func BenchmarkFig6Convergence(b *testing.B) {
 				p := DefaultParams()
 				p.Threads = threads
 				p.Seed = uint64(i)
-				p.MaxGenerations = 10
 				p.RecordConvergence = true
-				res, err := Run(in, p)
+				res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxGenerations: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,8 +258,7 @@ func BenchmarkLockingStrategy(b *testing.B) {
 				p.Threads = 4
 				p.LockMode = mode
 				p.Seed = uint64(i)
-				p.MaxEvaluations = 4000
-				if _, err := Run(in, p); err != nil {
+				if _, err := (PACGA{Params: p}).Solve(context.Background(), in, Budget{MaxEvaluations: 4000}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -463,14 +458,11 @@ func BenchmarkAsyncVsSync(b *testing.B) {
 			p := DefaultParams()
 			p.Threads = 1
 			p.Seed = uint64(i)
-			p.MaxEvaluations = 4000
-			var res *Result
-			var err error
+			var s Solver = PACGA{Params: p}
 			if sync {
-				res, err = RunSync(in, p)
-			} else {
-				res, err = Run(in, p)
+				s = SyncCGA{Params: p}
 			}
+			res, err := s.Solve(context.Background(), in, Budget{MaxEvaluations: 4000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -501,8 +493,7 @@ func BenchmarkScalabilityLargeInstance(b *testing.B) {
 				p := DefaultParams()
 				p.Threads = threads
 				p.Seed = uint64(i)
-				p.MaxDuration = 50 * time.Millisecond
-				res, err := Run(in, p)
+				res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxDuration: 50 * time.Millisecond})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -522,8 +513,7 @@ func BenchmarkSimulatedExecution(b *testing.B) {
 	in := benchInstance(b, "u_i_hihi.0")
 	p := DefaultParams()
 	p.Seed = 1
-	p.MaxEvaluations = 4000
-	res, err := Run(in, p)
+	res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 4000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -552,8 +542,7 @@ func BenchmarkPACGAAllInstances(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := DefaultParams()
 				p.Seed = uint64(i)
-				p.MaxEvaluations = 2000
-				if _, err := Run(in, p); err != nil {
+				if _, err := (PACGA{Params: p}).Solve(context.Background(), in, Budget{MaxEvaluations: 2000}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -575,7 +564,7 @@ func BenchmarkPortfolio(b *testing.B) {
 	run := func(b *testing.B, name string) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Solve(name, in, SolveOptions{
+			res, err := Solve(context.Background(), name, in, SolveOptions{
 				Budget: Budget{MaxEvaluations: budget},
 				Seed:   uint64(i + 1),
 			})
@@ -598,7 +587,7 @@ func BenchmarkPortfolioRace(b *testing.B) {
 	in := benchInstance(b, "u_c_hihi.0")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Solve("portfolio", in, SolveOptions{
+		res, err := Solve(context.Background(), "portfolio", in, SolveOptions{
 			Budget: Budget{MaxEvaluations: 4000},
 			Seed:   uint64(i + 1),
 		})

@@ -11,6 +11,7 @@
 package gridsched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -55,7 +56,7 @@ func BenchmarkSolverThroughput(b *testing.B) {
 				b.ResetTimer()
 				var evals int64
 				for i := 0; i < b.N; i++ {
-					res, err := Solve(family, in, SolveOptions{
+					res, err := Solve(context.Background(), family, in, SolveOptions{
 						Budget: Budget{MaxEvaluations: sh.evals},
 						Seed:   1,
 					})

@@ -105,7 +105,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		rows, err := gridsched.Fig4Context(ctx, inst, fsc)
+		rows, err := gridsched.Fig4(ctx, inst, fsc)
 		check(err)
 		fmt.Println(gridsched.RenderFig4(rows))
 		writeCSV(*csvDir, "fig4.csv", func(w io.Writer) error { return experiments.WriteFig4CSV(w, rows) })
@@ -118,7 +118,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		cells, err := gridsched.Fig5Context(ctx, suite, sc)
+		cells, err := gridsched.Fig5(ctx, suite, sc)
 		check(err)
 		fmt.Println(gridsched.RenderFig5(cells))
 		writeCSV(*csvDir, "fig5.csv", func(w io.Writer) error { return experiments.WriteFig5CSV(w, cells) })
@@ -131,7 +131,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		rows, err := gridsched.Table2Context(ctx, suite, sc)
+		rows, err := gridsched.Table2(ctx, suite, sc, experiments.Table2Comparators)
 		check(err)
 		fmt.Println(gridsched.RenderTable2(rows))
 		wins := 0
@@ -151,7 +151,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		series, err := gridsched.Fig6Context(ctx, inst, sc)
+		series, err := gridsched.Fig6(ctx, inst, sc)
 		check(err)
 		fmt.Println(gridsched.RenderFig6(series))
 		writeCSV(*csvDir, "fig6.csv", func(w io.Writer) error { return experiments.WriteFig6CSV(w, series) })
@@ -164,7 +164,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		series, err := gridsched.DiversityStudyContext(ctx, inst, sc)
+		series, err := gridsched.DiversityStudy(ctx, inst, sc)
 		check(err)
 		fmt.Println(gridsched.RenderDiversity(series))
 		fmt.Printf("(diversity completed in %v)\n", time.Since(start).Round(time.Millisecond))

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,9 +47,8 @@ func main() {
 	switch *scheduler {
 	case "pacga":
 		p := gridsched.DefaultParams()
-		p.MaxDuration = *budget
 		p.Seed = *seed
-		res, err := gridsched.Run(inst, p)
+		res, err := gridsched.PACGA{Params: p}.Solve(context.Background(), inst, gridsched.Budget{MaxDuration: *budget})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -82,7 +83,7 @@ func main() {
 	rows := make([]row, 0, len(names))
 	for _, name := range names {
 		// Zero-budget solvers: a single construction pass is the run.
-		res, err := gridsched.Solve(name, inst, gridsched.SolveOptions{})
+		res, err := gridsched.Solve(context.Background(), name, inst, gridsched.SolveOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -108,9 +108,6 @@ func main() {
 	p.GridW, p.GridH = *gridW, *gridH
 	p.Threads = *threads
 	p.Seed = *seed
-	p.MaxDuration = *wall
-	p.MaxEvaluations = *evals
-	p.MaxGenerations = *gens
 	p.DisableMinMinSeed = *noSeedMM
 	p.Local = operators.H2LL{Iterations: *lsIters}
 	if p.Crossover, err = gridsched.CrossoverByName(*crossover); err != nil {
@@ -123,21 +120,14 @@ func main() {
 		log.Fatal(err)
 	}
 
+	budget := gridsched.Budget{MaxDuration: *wall, MaxEvaluations: *evals, MaxGenerations: *gens}
 	var res *gridsched.Result
 	ran := *engine
 	if *solverF != "" {
 		ran = *solverF
-		res, err = gridsched.Solve(*solverF, inst, gridsched.SolveOptions{
-			Context: ctx,
-			Budget: gridsched.Budget{
-				MaxDuration:    *wall,
-				MaxEvaluations: *evals,
-				MaxGenerations: *gens,
-			},
-			Seed: *seed,
-		})
+		res, err = gridsched.Solve(ctx, *solverF, inst, gridsched.SolveOptions{Budget: budget, Seed: *seed})
 	} else {
-		res, err = runEngine(ctx, *engine, inst, p)
+		res, err = runEngine(ctx, *engine, inst, p, budget)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -184,62 +174,56 @@ func main() {
 	}
 }
 
-// runEngine dispatches to the chosen algorithm, mapping the shared
-// PA-CGA parameter set onto each engine's own configuration.
-func runEngine(ctx context.Context, engine string, inst *gridsched.Instance, p gridsched.Params) (*gridsched.Result, error) {
+// runEngine builds the chosen algorithm's typed solver, mapping the
+// shared PA-CGA parameter set onto each engine's own configuration, and
+// runs it under the budget.
+func runEngine(ctx context.Context, engine string, inst *gridsched.Instance, p gridsched.Params, b gridsched.Budget) (*gridsched.Result, error) {
+	var s gridsched.Solver
 	switch engine {
 	case "pacga":
-		return gridsched.RunContext(ctx, inst, p)
+		s = gridsched.PACGA{Params: p}
 	case "sync":
-		return gridsched.RunSyncContext(ctx, inst, p)
+		s = gridsched.SyncCGA{Params: p}
 	case "islands":
-		return gridsched.RunIslandsContext(ctx, inst, gridsched.IslandConfig{
-			Islands:        p.Threads,
-			Neighborhood:   p.Neighborhood,
-			Selector:       p.Selector,
-			Crossover:      p.Crossover,
-			CrossProb:      p.CrossProb,
-			Mutation:       p.Mutation,
-			MutProb:        p.MutProb,
-			Local:          p.Local,
-			LocalProb:      p.LocalProb,
-			Replacement:    p.Replacement,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxGenerations: p.MaxGenerations,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+		s = gridsched.IslandSolver{Config: gridsched.IslandConfig{
+			Islands:      p.Threads,
+			Neighborhood: p.Neighborhood,
+			Selector:     p.Selector,
+			Crossover:    p.Crossover,
+			CrossProb:    p.CrossProb,
+			Mutation:     p.Mutation,
+			MutProb:      p.MutProb,
+			Local:        p.Local,
+			LocalProb:    p.LocalProb,
+			Replacement:  p.Replacement,
+			SeedMinMin:   !p.DisableMinMinSeed,
+			Seed:         p.Seed,
+		}}
 	case "struggle":
-		return gridsched.RunStruggleContext(ctx, inst, gridsched.StruggleConfig{
-			Crossover:      p.Crossover,
-			Mutation:       p.Mutation,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+		s = gridsched.StruggleSolver{Config: gridsched.StruggleConfig{
+			Crossover:  p.Crossover,
+			Mutation:   p.Mutation,
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}
 	case "cma":
-		return gridsched.RunCMALTHContext(ctx, inst, gridsched.CMALTHConfig{
+		s = gridsched.CMALTHSolver{Config: gridsched.CMALTHConfig{
 			GridW: p.GridW, GridH: p.GridH,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxDuration:    p.MaxDuration,
-		})
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}
 	case "generational":
-		return gridsched.RunGenerationalContext(ctx, inst, gridsched.GenerationalConfig{
-			PopSize:        p.GridW * p.GridH,
-			Crossover:      p.Crossover,
-			Mutation:       p.Mutation,
-			SeedMinMin:     !p.DisableMinMinSeed,
-			Seed:           p.Seed,
-			MaxEvaluations: p.MaxEvaluations,
-			MaxGenerations: p.MaxGenerations,
-			MaxDuration:    p.MaxDuration,
-		})
+		s = gridsched.GenerationalSolver{Config: gridsched.GenerationalConfig{
+			PopSize:    p.GridW * p.GridH,
+			Crossover:  p.Crossover,
+			Mutation:   p.Mutation,
+			SeedMinMin: !p.DisableMinMinSeed,
+			Seed:       p.Seed,
+		}}
+	default:
+		return nil, fmt.Errorf("unknown engine %q (want pacga, sync, islands, struggle, cma or generational)", engine)
 	}
-	return nil, fmt.Errorf("unknown engine %q (want pacga, sync, islands, struggle, cma or generational)", engine)
+	return s.Solve(ctx, inst, b)
 }
 
 // writeConvergenceCSV dumps the recorder's event series to path.

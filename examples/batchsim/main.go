@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -85,9 +86,9 @@ func main() {
 			p := gridsched.DefaultParams()
 			p.GridW, p.GridH = 8, 8 // small population: short per-wave budget
 			p.Threads = 2
-			p.MaxDuration = 250 * time.Millisecond
 			p.Seed = seed
-			res, err := gridsched.Run(inst, p)
+			res, err := gridsched.PACGA{Params: p}.Solve(context.Background(), inst,
+				gridsched.Budget{MaxDuration: 250 * time.Millisecond})
 			if err != nil {
 				return nil, err
 			}

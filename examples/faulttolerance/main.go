@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,9 +35,9 @@ func main() {
 	mctPlan := mct(inst)
 
 	p := gridsched.DefaultParams()
-	p.MaxDuration = 2 * time.Second
 	p.Seed = 11
-	res, err := gridsched.Run(inst, p)
+	res, err := gridsched.PACGA{Params: p}.Solve(context.Background(), inst,
+		gridsched.Budget{MaxDuration: 2 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,8 +53,8 @@ func main() {
 			p.Crossover = cx
 			p.Local = gridsched.H2LL(cfg.ls)
 			p.Seed = uint64(run) + 1
-			p.MaxEvaluations = budget
-			res, err := gridsched.Run(inst, p)
+			res, err := gridsched.PACGA{Params: p}.Solve(context.Background(), inst,
+				gridsched.Budget{MaxEvaluations: budget})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -78,10 +79,10 @@ func main() {
 
 	// PA-CGA: worth its runtime when the campaign itself runs for hours.
 	p := gridsched.DefaultParams()
-	p.MaxDuration = 2 * time.Second
 	p.Seed = 7
 	start := time.Now()
-	res, err := gridsched.Run(inst, p)
+	res, err := gridsched.PACGA{Params: p}.Solve(context.Background(), inst,
+		gridsched.Budget{MaxDuration: 2 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

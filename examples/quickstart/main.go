@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,12 +31,13 @@ func main() {
 	fmt.Printf("min-min makespan:  %.0f\n", minmin.Makespan())
 
 	// PA-CGA with the paper's Table 1 parameters (16×16 population, L5
-	// neighborhood, tpx crossover, H2LL local search, 3 threads).
+	// neighborhood, tpx crossover, H2LL local search, 3 threads), run
+	// for one second of wall time.
 	params := gridsched.DefaultParams()
-	params.MaxDuration = time.Second
 	params.Seed = 42
 
-	res, err := gridsched.Run(inst, params)
+	res, err := gridsched.PACGA{Params: params}.Solve(context.Background(), inst,
+		gridsched.Budget{MaxDuration: time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

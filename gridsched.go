@@ -15,15 +15,18 @@
 // Quick start:
 //
 //	inst, _ := gridsched.GenerateInstance("u_i_hihi.0")
-//	p := gridsched.DefaultParams()
-//	p.MaxDuration = 2 * time.Second
-//	res, _ := gridsched.Run(inst, p)
+//	res, _ := gridsched.PACGA{Params: gridsched.DefaultParams()}.Solve(ctx, inst,
+//		gridsched.Budget{MaxDuration: 2 * time.Second})
 //	fmt.Println("makespan:", res.BestFitness)
 //
-// Every algorithm also registers itself with the unified solver layer,
-// so the whole family is reachable through one dispatch surface:
+// Every algorithm is a typed solver value (PACGA, SyncCGA, IslandSolver,
+// StruggleSolver, CMALTHSolver, GenerationalSolver) whose fields carry
+// its configuration and whose Solve(ctx, inst, budget) is the one way to
+// run it: the Budget holds every stop condition. Each also registers
+// itself with the unified solver layer, so the whole family is
+// reachable by name with its registered defaults:
 //
-//	res, _ := gridsched.Solve("pa-cga", inst, gridsched.SolveOptions{
+//	res, _ := gridsched.Solve(ctx, "pa-cga", inst, gridsched.SolveOptions{
 //		Budget: gridsched.Budget{MaxEvaluations: 100000},
 //	})
 //
@@ -153,8 +156,6 @@ type ConstituentResult = solver.ConstituentResult
 // solver with its registered default configuration — note iterative
 // solvers require at least one Budget bound.
 type SolveOptions struct {
-	// Context cancels the run early when done; nil means Background.
-	Context context.Context
 	// Budget is the stop-condition set.
 	Budget Budget
 	// Seed, when non-zero, reseeds the solver's randomness (each
@@ -165,19 +166,15 @@ type SolveOptions struct {
 
 // Solve runs the named registered solver — any of the metaheuristics
 // or constructive heuristics — on the instance under one uniform
-// contract. It is the single dispatch surface the CLIs and the
-// experiment harness build on.
-func Solve(name string, inst *Instance, opts SolveOptions) (*SolverResult, error) {
+// contract; cancelling ctx stops the run early. It is the single
+// dispatch surface the CLIs and the experiment harness build on.
+func Solve(ctx context.Context, name string, inst *Instance, opts SolveOptions) (*SolverResult, error) {
 	s, err := solver.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Seed != 0 {
 		s = solver.WithSeed(s, opts.Seed)
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	return s.Solve(ctx, inst, opts.Budget)
 }
@@ -215,6 +212,17 @@ func Solvers() []SolverInfo {
 // values.
 type Params = core.Params
 
+// PACGA is the parallel asynchronous cellular GA as a typed solver:
+// PACGA{Params: p}.Solve(ctx, inst, budget) runs it with a custom
+// configuration, stopping at the first of the budget's bounds or ctx's
+// cancellation and reporting the best schedule found so far.
+type PACGA = core.PACGA
+
+// SyncCGA is the synchronous cellular GA variant (single thread,
+// generation barrier); the substrate of the cMA baseline and the
+// async-vs-sync ablation.
+type SyncCGA = core.SyncCGA
+
 // Result reports a run: best schedule, fitness, evaluation and
 // generation counts, and the optional convergence series.
 type Result = core.Result
@@ -223,26 +231,6 @@ type Result = core.Result
 // population, L5 neighborhood, best-2 selection, tpx crossover, move
 // mutation, H2LL×10, replace-if-better, 3 threads).
 func DefaultParams() Params { return core.DefaultParams() }
-
-// Run executes the parallel asynchronous cellular GA.
-func Run(in *Instance, p Params) (*Result, error) { return core.Run(in, p) }
-
-// RunContext is Run with context cancellation: the run stops at the
-// budget or the context, whichever fires first, and reports the best
-// schedule found so far.
-func RunContext(ctx context.Context, in *Instance, p Params) (*Result, error) {
-	return core.RunContext(ctx, in, p)
-}
-
-// RunSync executes the synchronous cellular GA variant (single thread,
-// generation barrier); the substrate of the cMA baseline and the
-// async-vs-sync ablation.
-func RunSync(in *Instance, p Params) (*Result, error) { return core.RunSync(in, p) }
-
-// RunSyncContext is RunSync with context cancellation.
-func RunSyncContext(ctx context.Context, in *Instance, p Params) (*Result, error) {
-	return core.RunSyncContext(ctx, in, p)
-}
 
 // Operator constructors for Params customization.
 
@@ -289,43 +277,23 @@ func HeuristicNames() []string { return heuristics.Names() }
 // StruggleConfig configures the Struggle GA baseline.
 type StruggleConfig = baselines.StruggleConfig
 
+// StruggleSolver is the Struggle GA of Xhafa (2006):
+// StruggleSolver{Config: cfg}.Solve(ctx, inst, budget).
+type StruggleSolver = baselines.StruggleSolver
+
 // CMALTHConfig configures the cellular memetic (tabu hook) baseline.
 type CMALTHConfig = baselines.CMALTHConfig
 
-// RunStruggle executes the Struggle GA of Xhafa (2006).
-func RunStruggle(in *Instance, cfg StruggleConfig) (*Result, error) {
-	return baselines.Struggle(in, cfg)
-}
-
-// RunStruggleContext is RunStruggle with context cancellation.
-func RunStruggleContext(ctx context.Context, in *Instance, cfg StruggleConfig) (*Result, error) {
-	return baselines.StruggleContext(ctx, in, cfg)
-}
-
-// RunCMALTH executes the cellular memetic algorithm with local tabu hook
+// CMALTHSolver is the cellular memetic algorithm with local tabu hook
 // of Xhafa et al. (2008).
-func RunCMALTH(in *Instance, cfg CMALTHConfig) (*Result, error) {
-	return baselines.CMALTH(in, cfg)
-}
-
-// RunCMALTHContext is RunCMALTH with context cancellation.
-func RunCMALTHContext(ctx context.Context, in *Instance, cfg CMALTHConfig) (*Result, error) {
-	return baselines.CMALTHContext(ctx, in, cfg)
-}
+type CMALTHSolver = baselines.CMALTHSolver
 
 // GenerationalConfig configures the panmictic generational GA baseline —
 // the "regular GA" cellular GAs are claimed to outperform (§1).
 type GenerationalConfig = baselines.GenerationalConfig
 
-// RunGenerational executes the panmictic generational GA.
-func RunGenerational(in *Instance, cfg GenerationalConfig) (*Result, error) {
-	return baselines.Generational(in, cfg)
-}
-
-// RunGenerationalContext is RunGenerational with context cancellation.
-func RunGenerationalContext(ctx context.Context, in *Instance, cfg GenerationalConfig) (*Result, error) {
-	return baselines.GenerationalContext(ctx, in, cfg)
-}
+// GenerationalSolver is the panmictic generational GA.
+type GenerationalSolver = baselines.GenerationalSolver
 
 // IslandConfig configures the distributed island-model cellular GA: the
 // message-passing parallelization contrasted with PA-CGA's shared
@@ -333,15 +301,9 @@ func RunGenerationalContext(ctx context.Context, in *Instance, cfg GenerationalC
 // elite migration over a channel ring.
 type IslandConfig = islands.Config
 
-// RunIslands executes the island-model cellular GA.
-func RunIslands(in *Instance, cfg IslandConfig) (*Result, error) {
-	return islands.Run(in, cfg)
-}
-
-// RunIslandsContext is RunIslands with context cancellation.
-func RunIslandsContext(ctx context.Context, in *Instance, cfg IslandConfig) (*Result, error) {
-	return islands.RunContext(ctx, in, cfg)
-}
+// IslandSolver is the island-model cellular GA:
+// IslandSolver{Config: cfg}.Solve(ctx, inst, budget).
+type IslandSolver = islands.Solver
 
 // --- Scheduling service ---
 
@@ -496,37 +458,27 @@ type (
 )
 
 // Fig4 measures evaluation-throughput speedup vs threads and H2LL
-// iterations (requires a wall-clock scale).
-func Fig4(in *Instance, sc Scale) ([]Fig4Row, error) { return experiments.Fig4(in, sc) }
-
-// Fig4Context is Fig4 under a context: cancellation aborts the
-// experiment with the context's error.
-func Fig4Context(ctx context.Context, in *Instance, sc Scale) ([]Fig4Row, error) {
-	return experiments.Fig4Context(ctx, in, sc)
+// iterations (requires a wall-clock scale). Cancelling ctx aborts the
+// experiment with the context's error; the same holds for Fig5, Table2,
+// Fig6 and DiversityStudy.
+func Fig4(ctx context.Context, in *Instance, sc Scale) ([]Fig4Row, error) {
+	return experiments.Fig4(ctx, in, sc)
 }
 
 // Fig5 compares opx/tpx × 5/10 H2LL iterations over instances.
-func Fig5(ins []*Instance, sc Scale) ([]Fig5Cell, error) { return experiments.Fig5(ins, sc) }
-
-// Fig5Context is Fig5 under a context.
-func Fig5Context(ctx context.Context, ins []*Instance, sc Scale) ([]Fig5Cell, error) {
-	return experiments.Fig5Context(ctx, ins, sc)
+func Fig5(ctx context.Context, ins []*Instance, sc Scale) ([]Fig5Cell, error) {
+	return experiments.Fig5(ctx, ins, sc)
 }
 
-// Table2 compares PA-CGA against the reimplemented literature baselines.
-func Table2(ins []*Instance, sc Scale) ([]Table2Row, error) { return experiments.Table2(ins, sc) }
-
-// Table2Context is Table2 under a context.
-func Table2Context(ctx context.Context, ins []*Instance, sc Scale) ([]Table2Row, error) {
-	return experiments.Table2Context(ctx, ins, sc)
+// Table2 compares PA-CGA against the named comparator solvers; the
+// paper's table uses "struggle" and "cma-lth".
+func Table2(ctx context.Context, ins []*Instance, sc Scale, comparators []string) ([]Table2Row, error) {
+	return experiments.Table2(ctx, ins, sc, comparators)
 }
 
 // Fig6 records population convergence for 1..4 threads.
-func Fig6(in *Instance, sc Scale) ([]Fig6Series, error) { return experiments.Fig6(in, sc) }
-
-// Fig6Context is Fig6 under a context.
-func Fig6Context(ctx context.Context, in *Instance, sc Scale) ([]Fig6Series, error) {
-	return experiments.Fig6Context(ctx, in, sc)
+func Fig6(ctx context.Context, in *Instance, sc Scale) ([]Fig6Series, error) {
+	return experiments.Fig6(ctx, in, sc)
 }
 
 // DiversitySeries is one population model's diversity trajectory.
@@ -534,13 +486,8 @@ type DiversitySeries = experiments.DiversitySeries
 
 // DiversityStudy compares how cellular and panmictic populations retain
 // genotypic diversity — §3.1's founding claim.
-func DiversityStudy(in *Instance, sc Scale) ([]DiversitySeries, error) {
-	return experiments.DiversityStudy(in, sc)
-}
-
-// DiversityStudyContext is DiversityStudy under a context.
-func DiversityStudyContext(ctx context.Context, in *Instance, sc Scale) ([]DiversitySeries, error) {
-	return experiments.DiversityStudyContext(ctx, in, sc)
+func DiversityStudy(ctx context.Context, in *Instance, sc Scale) ([]DiversitySeries, error) {
+	return experiments.DiversityStudy(ctx, in, sc)
 }
 
 // Render helpers (text output in the paper's shape).

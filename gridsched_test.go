@@ -2,6 +2,7 @@ package gridsched
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +19,7 @@ func TestGenerateInstanceAndRun(t *testing.T) {
 	p := DefaultParams()
 	p.GridW, p.GridH = 8, 8
 	p.Threads = 2
-	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunStruggle(in, StruggleConfig{Seed: 1, MaxEvaluations: 1000, SeedMinMin: true})
+	st, err := StruggleSolver{Config: StruggleConfig{Seed: 1, SeedMinMin: true}}.Solve(context.Background(), in, Budget{MaxEvaluations: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := RunCMALTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 1, MaxEvaluations: 1000, SeedMinMin: true})
+	cm, err := CMALTHSolver{Config: CMALTHConfig{GridW: 8, GridH: 8, Seed: 1, SeedMinMin: true}}.Solve(context.Background(), in, Budget{MaxEvaluations: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,7 @@ func TestFacadeRunSyncAndSchedules(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.GridW, p.GridH = 8, 8
-	p.MaxEvaluations = 1000
-	res, err := RunSync(in, p)
+	res, err := SyncCGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +150,14 @@ func TestFacadeIslandsAndGenerational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isl, err := RunIslands(in, IslandConfig{Seed: 1, MaxGenerations: 5, SeedMinMin: true})
+	isl, err := IslandSolver{Config: IslandConfig{Seed: 1, SeedMinMin: true}}.Solve(context.Background(), in, Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := isl.Best.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	gen, err := RunGenerational(in, GenerationalConfig{Seed: 1, MaxGenerations: 5, PopSize: 32})
+	gen, err := GenerationalSolver{Config: GenerationalConfig{Seed: 1, PopSize: 32}}.Solve(context.Background(), in, Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +195,8 @@ func TestFacadeFlowtimeWeight(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.GridW, p.GridH = 8, 8
-	p.MaxEvaluations = 1000
 	p.FlowtimeWeight = 0.5
-	res, err := Run(in, p)
+	res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func TestFacadeDiversityStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := DiversityStudy(in, Scale{Runs: 1, BaseSeed: 1})
+	series, err := DiversityStudy(context.Background(), in, Scale{Runs: 1, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

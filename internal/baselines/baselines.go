@@ -16,7 +16,6 @@ package baselines
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
@@ -48,9 +47,6 @@ type StruggleConfig struct {
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions: whichever fires first.
-	MaxEvaluations int64
-	MaxDuration    time.Duration
 }
 
 func (c StruggleConfig) withDefaults() StruggleConfig {
@@ -75,26 +71,23 @@ func (c StruggleConfig) withDefaults() StruggleConfig {
 	return c
 }
 
-// Struggle runs the Struggle GA and returns a core.Result so all
-// algorithms share one result shape in the harness.
-func Struggle(inst *etc.Instance, cfg StruggleConfig) (*core.Result, error) {
-	return StruggleContext(context.Background(), inst, cfg)
-}
-
-// StruggleContext is Struggle with context cancellation, polled at the
-// shared engine's coarse steady-state granularity.
-func StruggleContext(ctx context.Context, inst *etc.Instance, cfg StruggleConfig) (*core.Result, error) {
-	cfg = cfg.withDefaults()
+// Solve implements solver.Solver: it runs the Struggle GA and returns
+// the shared result shape. The deadline and ctx are polled at the
+// engine's coarse steady-state granularity. MaxGenerations is not
+// meaningful for a steady-state GA and is ignored, so at least one of
+// MaxDuration and MaxEvaluations must be set.
+func (s StruggleSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	cfg := s.Config.withDefaults()
 	if cfg.PopSize < 2 {
 		return nil, fmt.Errorf("baselines: struggle population %d too small", cfg.PopSize)
 	}
-	if cfg.MaxEvaluations <= 0 && cfg.MaxDuration <= 0 {
+	if b.MaxEvaluations <= 0 && b.MaxDuration <= 0 {
 		return nil, fmt.Errorf("baselines: struggle needs a stop condition")
 	}
 
 	eng := solver.NewEngine(ctx, solver.Budget{
-		MaxDuration:    cfg.MaxDuration,
-		MaxEvaluations: cfg.MaxEvaluations,
+		MaxDuration:    b.MaxDuration,
+		MaxEvaluations: b.MaxEvaluations,
 	})
 	r := rng.New(cfg.Seed)
 	pop := make([]*schedule.Schedule, cfg.PopSize)
@@ -165,7 +158,7 @@ func StruggleContext(ctx context.Context, inst *etc.Instance, cfg StruggleConfig
 		}
 	}
 	eng.Finish(fit[bestIdx])
-	return &core.Result{
+	return &solver.Result{
 		Best:            pop[bestIdx].Clone(),
 		BestFitness:     fit[bestIdx],
 		Evaluations:     eng.Evals(),
@@ -204,25 +197,18 @@ type CMALTHConfig struct {
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions: whichever fires first.
-	MaxEvaluations int64
-	MaxDuration    time.Duration
 }
 
-// CMALTH runs the cellular memetic algorithm with local tabu hook: the
-// synchronous cellular engine configured per the published cMA study —
-// binary tournament selection, p_c = 0.8, p_m = 0.4 — with a short,
-// narrow tabu hop in place of H2LL. (Configuring it with the PA-CGA's
-// own p=1.0 operator rates and a wide tabu makes the baseline stronger
-// than the published algorithm; these defaults keep the comparison
-// faithful.)
-func CMALTH(inst *etc.Instance, cfg CMALTHConfig) (*core.Result, error) {
-	return CMALTHContext(context.Background(), inst, cfg)
-}
-
-// CMALTHContext is CMALTH with context cancellation, inherited from the
-// synchronous cellular engine underneath.
-func CMALTHContext(ctx context.Context, inst *etc.Instance, cfg CMALTHConfig) (*core.Result, error) {
+// Solve implements solver.Solver: it runs the cellular memetic
+// algorithm with local tabu hook, the synchronous cellular engine
+// configured per the published cMA study — binary tournament selection,
+// p_c = 0.8, p_m = 0.4 — with a short, narrow tabu hop in place of
+// H2LL. (Configuring it with the PA-CGA's own p=1.0 operator rates and
+// a wide tabu makes the baseline stronger than the published
+// algorithm; these defaults keep the comparison faithful.) The whole
+// budget, generation bound included, goes to the synchronous engine.
+func (s CMALTHSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	cfg := s.Config
 	p := core.DefaultParams()
 	if cfg.GridW > 0 {
 		p.GridW = cfg.GridW
@@ -241,7 +227,5 @@ func CMALTHContext(ctx context.Context, inst *etc.Instance, cfg CMALTHConfig) (*
 	p.MutProb = 0.4
 	p.Seed = cfg.Seed
 	p.DisableMinMinSeed = !cfg.SeedMinMin
-	p.MaxEvaluations = cfg.MaxEvaluations
-	p.MaxDuration = cfg.MaxDuration
-	return core.RunSyncContext(ctx, inst, p)
+	return core.SyncCGA{Params: p}.Solve(ctx, inst, b)
 }

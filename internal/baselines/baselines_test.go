@@ -1,11 +1,27 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/heuristics"
+	"gridsched/internal/solver"
 )
+
+// struggle, cmaLTH and generational solve through each baseline's
+// Solve method.
+func struggle(in *etc.Instance, cfg StruggleConfig, b solver.Budget) (*solver.Result, error) {
+	return StruggleSolver{Config: cfg}.Solve(context.Background(), in, b)
+}
+
+func cmaLTH(in *etc.Instance, cfg CMALTHConfig, b solver.Budget) (*solver.Result, error) {
+	return CMALTHSolver{Config: cfg}.Solve(context.Background(), in, b)
+}
+
+func generational(in *etc.Instance, cfg GenerationalConfig, b solver.Budget) (*solver.Result, error) {
+	return GenerationalSolver{Config: cfg}.Solve(context.Background(), in, b)
+}
 
 func testInstance(t testing.TB, seed uint64) *etc.Instance {
 	t.Helper()
@@ -21,7 +37,7 @@ func testInstance(t testing.TB, seed uint64) *etc.Instance {
 
 func TestStruggleBasic(t *testing.T) {
 	in := testInstance(t, 1)
-	res, err := Struggle(in, StruggleConfig{Seed: 1, MaxEvaluations: 3000, SeedMinMin: true})
+	res, err := struggle(in, StruggleConfig{Seed: 1, SeedMinMin: true}, solver.Budget{MaxEvaluations: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +57,12 @@ func TestStruggleBasic(t *testing.T) {
 
 func TestStruggleDeterministic(t *testing.T) {
 	in := testInstance(t, 2)
-	cfg := StruggleConfig{Seed: 9, MaxEvaluations: 2000}
-	a, err := Struggle(in, cfg)
+	cfg := StruggleConfig{Seed: 9}
+	a, err := struggle(in, cfg, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Struggle(in, cfg)
+	b, err := struggle(in, cfg, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +73,11 @@ func TestStruggleDeterministic(t *testing.T) {
 
 func TestStruggleImprovesOverRandomInit(t *testing.T) {
 	in := testInstance(t, 3)
-	short, err := Struggle(in, StruggleConfig{Seed: 5, MaxEvaluations: 70})
+	short, err := struggle(in, StruggleConfig{Seed: 5}, solver.Budget{MaxEvaluations: 70})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Struggle(in, StruggleConfig{Seed: 5, MaxEvaluations: 20000})
+	long, err := struggle(in, StruggleConfig{Seed: 5}, solver.Budget{MaxEvaluations: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +88,10 @@ func TestStruggleImprovesOverRandomInit(t *testing.T) {
 
 func TestStruggleValidation(t *testing.T) {
 	in := testInstance(t, 4)
-	if _, err := Struggle(in, StruggleConfig{Seed: 1}); err == nil {
+	if _, err := struggle(in, StruggleConfig{Seed: 1}, solver.Budget{}); err == nil {
 		t.Fatal("accepted missing stop condition")
 	}
-	if _, err := Struggle(in, StruggleConfig{Seed: 1, PopSize: 1, MaxEvaluations: 10}); err == nil {
+	if _, err := struggle(in, StruggleConfig{Seed: 1, PopSize: 1}, solver.Budget{MaxEvaluations: 10}); err == nil {
 		t.Fatal("accepted population of one")
 	}
 }
@@ -83,7 +99,7 @@ func TestStruggleValidation(t *testing.T) {
 func TestStruggleWithMinMinSeedAtLeastMinMin(t *testing.T) {
 	in := testInstance(t, 5)
 	mm := heuristics.MinMin(in).Makespan()
-	res, err := Struggle(in, StruggleConfig{Seed: 7, MaxEvaluations: 500, SeedMinMin: true})
+	res, err := struggle(in, StruggleConfig{Seed: 7, SeedMinMin: true}, solver.Budget{MaxEvaluations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +110,7 @@ func TestStruggleWithMinMinSeedAtLeastMinMin(t *testing.T) {
 
 func TestCMALTHBasic(t *testing.T) {
 	in := testInstance(t, 6)
-	res, err := CMALTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 3, MaxEvaluations: 2000, SeedMinMin: true})
+	res, err := cmaLTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 3, SeedMinMin: true}, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +124,12 @@ func TestCMALTHBasic(t *testing.T) {
 
 func TestCMALTHDeterministic(t *testing.T) {
 	in := testInstance(t, 7)
-	cfg := CMALTHConfig{GridW: 8, GridH: 8, Seed: 11, MaxEvaluations: 1500}
-	a, err := CMALTH(in, cfg)
+	cfg := CMALTHConfig{GridW: 8, GridH: 8, Seed: 11}
+	a, err := cmaLTH(in, cfg, solver.Budget{MaxEvaluations: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CMALTH(in, cfg)
+	b, err := cmaLTH(in, cfg, solver.Budget{MaxEvaluations: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +140,7 @@ func TestCMALTHDeterministic(t *testing.T) {
 
 func TestCMALTHRequiresStopCondition(t *testing.T) {
 	in := testInstance(t, 8)
-	if _, err := CMALTH(in, CMALTHConfig{Seed: 1}); err == nil {
+	if _, err := cmaLTH(in, CMALTHConfig{Seed: 1}, solver.Budget{}); err == nil {
 		t.Fatal("accepted missing stop condition")
 	}
 }
@@ -133,11 +149,11 @@ func TestBothBaselinesBeatRandomBaseline(t *testing.T) {
 	// Sanity: the reimplemented literature algorithms must comfortably
 	// beat a purely random schedule.
 	in := testInstance(t, 9)
-	st, err := Struggle(in, StruggleConfig{Seed: 13, MaxEvaluations: 10000, SeedMinMin: true})
+	st, err := struggle(in, StruggleConfig{Seed: 13, SeedMinMin: true}, solver.Budget{MaxEvaluations: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := CMALTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 13, MaxEvaluations: 10000, SeedMinMin: true})
+	cm, err := cmaLTH(in, CMALTHConfig{GridW: 8, GridH: 8, Seed: 13, SeedMinMin: true}, solver.Budget{MaxEvaluations: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package baselines
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"gridsched/internal/core"
 	"gridsched/internal/etc"
 	"gridsched/internal/heuristics"
 	"gridsched/internal/operators"
@@ -40,10 +38,6 @@ type GenerationalConfig struct {
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions: whichever fires first.
-	MaxEvaluations int64
-	MaxGenerations int64
-	MaxDuration    time.Duration
 	// RecordDiversity samples the population's mean per-task Simpson
 	// diversity each generation (for the diversity study comparing
 	// panmictic vs cellular populations).
@@ -78,30 +72,21 @@ func (c GenerationalConfig) withDefaults() GenerationalConfig {
 	return c
 }
 
-// Generational runs the panmictic generational GA.
-func Generational(inst *etc.Instance, cfg GenerationalConfig) (*core.Result, error) {
-	return GenerationalContext(context.Background(), inst, cfg)
-}
-
-// GenerationalContext is Generational with context cancellation,
-// checked at generation granularity like the wall-clock deadline.
-func GenerationalContext(ctx context.Context, inst *etc.Instance, cfg GenerationalConfig) (*core.Result, error) {
-	cfg = cfg.withDefaults()
+// Solve implements solver.Solver: it runs the panmictic generational
+// GA, checking the deadline and ctx at generation granularity.
+func (s GenerationalSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	cfg := s.Config.withDefaults()
 	if cfg.PopSize < 2 {
 		return nil, fmt.Errorf("baselines: generational population %d too small", cfg.PopSize)
 	}
 	if cfg.Elite >= cfg.PopSize {
 		return nil, fmt.Errorf("baselines: elite %d ≥ population %d", cfg.Elite, cfg.PopSize)
 	}
-	if cfg.MaxEvaluations <= 0 && cfg.MaxDuration <= 0 && cfg.MaxGenerations <= 0 {
+	if b.IsZero() {
 		return nil, fmt.Errorf("baselines: generational needs a stop condition")
 	}
 
-	eng := solver.NewEngine(ctx, solver.Budget{
-		MaxDuration:    cfg.MaxDuration,
-		MaxEvaluations: cfg.MaxEvaluations,
-		MaxGenerations: cfg.MaxGenerations,
-	})
+	eng := solver.NewEngine(ctx, b)
 	r := rng.New(cfg.Seed)
 	pop := make([]*schedule.Schedule, cfg.PopSize)
 	fit := make([]float64, cfg.PopSize)
@@ -204,11 +189,11 @@ loop:
 		}
 	}
 
-	b := bestIdx()
-	eng.Finish(fit[b])
-	return &core.Result{
-		Best:            pop[b].Clone(),
-		BestFitness:     fit[b],
+	best := bestIdx()
+	eng.Finish(fit[best])
+	return &solver.Result{
+		Best:            pop[best].Clone(),
+		BestFitness:     fit[best],
 		Evaluations:     eng.Evals(),
 		Generations:     gens,
 		PerThread:       []int64{gens},

@@ -6,11 +6,12 @@ import (
 	"gridsched/internal/heuristics"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
+	"gridsched/internal/solver"
 )
 
 func TestGenerationalBasic(t *testing.T) {
 	in := testInstance(t, 20)
-	res, err := Generational(in, GenerationalConfig{Seed: 1, MaxGenerations: 10, PopSize: 64, SeedMinMin: true})
+	res, err := generational(in, GenerationalConfig{Seed: 1, PopSize: 64, SeedMinMin: true}, solver.Budget{MaxGenerations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +32,12 @@ func TestGenerationalBasic(t *testing.T) {
 
 func TestGenerationalDeterministic(t *testing.T) {
 	in := testInstance(t, 21)
-	cfg := GenerationalConfig{Seed: 3, MaxGenerations: 5, PopSize: 32}
-	a, err := Generational(in, cfg)
+	cfg := GenerationalConfig{Seed: 3, PopSize: 32}
+	a, err := generational(in, cfg, solver.Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generational(in, cfg)
+	b, err := generational(in, cfg, solver.Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestGenerationalDeterministic(t *testing.T) {
 func TestGenerationalElitismMonotoneBest(t *testing.T) {
 	// With elitism the best fitness can never worsen across generations.
 	in := testInstance(t, 22)
-	short, err := Generational(in, GenerationalConfig{Seed: 5, MaxGenerations: 2, PopSize: 64, SeedMinMin: true})
+	short, err := generational(in, GenerationalConfig{Seed: 5, PopSize: 64, SeedMinMin: true}, solver.Budget{MaxGenerations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Generational(in, GenerationalConfig{Seed: 5, MaxGenerations: 30, PopSize: 64, SeedMinMin: true})
+	long, err := generational(in, GenerationalConfig{Seed: 5, PopSize: 64, SeedMinMin: true}, solver.Budget{MaxGenerations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestGenerationalElitismMonotoneBest(t *testing.T) {
 func TestGenerationalKeepsMinMinSeedThroughElitism(t *testing.T) {
 	in := testInstance(t, 23)
 	mm := heuristics.MinMin(in).Makespan()
-	res, err := Generational(in, GenerationalConfig{Seed: 7, MaxGenerations: 5, PopSize: 32, SeedMinMin: true})
+	res, err := generational(in, GenerationalConfig{Seed: 7, PopSize: 32, SeedMinMin: true}, solver.Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,20 +76,20 @@ func TestGenerationalKeepsMinMinSeedThroughElitism(t *testing.T) {
 
 func TestGenerationalValidation(t *testing.T) {
 	in := testInstance(t, 24)
-	if _, err := Generational(in, GenerationalConfig{Seed: 1}); err == nil {
+	if _, err := generational(in, GenerationalConfig{Seed: 1}, solver.Budget{}); err == nil {
 		t.Fatal("accepted missing stop condition")
 	}
-	if _, err := Generational(in, GenerationalConfig{Seed: 1, PopSize: 1, MaxGenerations: 1}); err == nil {
+	if _, err := generational(in, GenerationalConfig{Seed: 1, PopSize: 1}, solver.Budget{MaxGenerations: 1}); err == nil {
 		t.Fatal("accepted tiny population")
 	}
-	if _, err := Generational(in, GenerationalConfig{Seed: 1, PopSize: 4, Elite: 4, MaxGenerations: 1}); err == nil {
+	if _, err := generational(in, GenerationalConfig{Seed: 1, PopSize: 4, Elite: 4}, solver.Budget{MaxGenerations: 1}); err == nil {
 		t.Fatal("accepted elite >= population")
 	}
 }
 
 func TestGenerationalEvaluationBudget(t *testing.T) {
 	in := testInstance(t, 25)
-	res, err := Generational(in, GenerationalConfig{Seed: 9, MaxEvaluations: 500, PopSize: 64})
+	res, err := generational(in, GenerationalConfig{Seed: 9, PopSize: 64}, solver.Budget{MaxEvaluations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestGenerationalEvaluationBudget(t *testing.T) {
 
 func TestGenerationalWithLocalSearch(t *testing.T) {
 	in := testInstance(t, 26)
-	plain, err := Generational(in, GenerationalConfig{Seed: 11, MaxEvaluations: 3000, PopSize: 64})
+	plain, err := generational(in, GenerationalConfig{Seed: 11, PopSize: 64}, solver.Budget{MaxEvaluations: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	memetic, err := Generational(in, GenerationalConfig{Seed: 11, MaxEvaluations: 3000, PopSize: 64, LSIters: 10})
+	memetic, err := generational(in, GenerationalConfig{Seed: 11, PopSize: 64, LSIters: 10}, solver.Budget{MaxEvaluations: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestGenerationalWithLocalSearch(t *testing.T) {
 
 func TestGenerationalDiversityRecordingDecreases(t *testing.T) {
 	in := testInstance(t, 27)
-	res, err := Generational(in, GenerationalConfig{Seed: 13, MaxGenerations: 25, PopSize: 64, RecordDiversity: true, RecordConvergence: true})
+	res, err := generational(in, GenerationalConfig{Seed: 13, PopSize: 64, RecordDiversity: true, RecordConvergence: true}, solver.Budget{MaxGenerations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

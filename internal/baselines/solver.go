@@ -1,18 +1,13 @@
 package baselines
 
-import (
-	"context"
-
-	"gridsched/internal/etc"
-	"gridsched/internal/solver"
-)
+import "gridsched/internal/solver"
 
 // The baseline comparators behind the unified solver interface. Each
-// adapter carries a default configuration mirroring the Table 2 setup
-// (Min-min seed, the published operator rates); the Budget passed to
-// Solve overwrites the config's stop conditions.
+// registered value carries a default configuration mirroring the
+// Table 2 setup (Min-min seed, the published operator rates); the
+// Budget passed to Solve carries the stop conditions.
 
-// StruggleSolver adapts the Struggle GA.
+// StruggleSolver is the Struggle GA.
 type StruggleSolver struct {
 	Config StruggleConfig
 }
@@ -35,18 +30,7 @@ func (s StruggleSolver) WithSeed(seed uint64) solver.Solver {
 // steady-state loop.
 func (s StruggleSolver) Reproducible() bool { return true }
 
-// Solve implements solver.Solver. MaxGenerations is not meaningful for
-// a steady-state GA and is ignored; at least one of MaxDuration and
-// MaxEvaluations must be set.
-func (s StruggleSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	cfg := s.Config
-	cfg.MaxDuration = b.MaxDuration
-	cfg.MaxEvaluations = b.MaxEvaluations
-	return StruggleContext(ctx, inst, cfg)
-}
-
-// CMALTHSolver adapts the cellular memetic algorithm with local tabu
-// hook.
+// CMALTHSolver is the cellular memetic algorithm with local tabu hook.
 type CMALTHSolver struct {
 	Config CMALTHConfig
 }
@@ -69,16 +53,7 @@ func (s CMALTHSolver) WithSeed(seed uint64) solver.Solver {
 // memetic loop runs one thread.
 func (s CMALTHSolver) Reproducible() bool { return true }
 
-// Solve implements solver.Solver. MaxGenerations is ignored (the cMA
-// config exposes wall-clock and evaluation bounds).
-func (s CMALTHSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	cfg := s.Config
-	cfg.MaxDuration = b.MaxDuration
-	cfg.MaxEvaluations = b.MaxEvaluations
-	return CMALTHContext(ctx, inst, cfg)
-}
-
-// GenerationalSolver adapts the panmictic generational GA.
+// GenerationalSolver is the panmictic generational GA.
 type GenerationalSolver struct {
 	Config GenerationalConfig
 }
@@ -99,15 +74,6 @@ func (s GenerationalSolver) WithSeed(seed uint64) solver.Solver {
 
 // Reproducible implements solver.Reproducible: one thread, one stream.
 func (s GenerationalSolver) Reproducible() bool { return true }
-
-// Solve implements solver.Solver.
-func (s GenerationalSolver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	cfg := s.Config
-	cfg.MaxDuration = b.MaxDuration
-	cfg.MaxEvaluations = b.MaxEvaluations
-	cfg.MaxGenerations = b.MaxGenerations
-	return GenerationalContext(ctx, inst, cfg)
-}
 
 func init() {
 	solver.Register(StruggleSolver{Config: StruggleConfig{Seed: 1, SeedMinMin: true}})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"gridsched/internal/operators"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
+	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
 
@@ -28,16 +30,27 @@ func testInstance(t testing.TB, seed uint64) *etc.Instance {
 	return in
 }
 
-// smallParams returns a fast evaluation-bounded configuration on an 8x8
-// grid for unit testing.
+// smallParams returns a fast configuration on an 8x8 grid for unit
+// testing; smallBudget is its usual evaluation bound.
 func smallParams(threads int, seed uint64) Params {
 	p := DefaultParams()
 	p.GridW, p.GridH = 8, 8
 	p.Threads = threads
 	p.Seed = seed
-	p.MaxEvaluations = 3000
 	p.Local = operators.H2LL{Iterations: 5}
 	return p
+}
+
+var smallBudget = solver.Budget{MaxEvaluations: 3000}
+
+// run and runSync solve through the asynchronous and synchronous
+// engines' Solve methods.
+func run(in *etc.Instance, p Params, b solver.Budget) (*Result, error) {
+	return PACGA{Params: p}.Solve(context.Background(), in, b)
+}
+
+func runSync(in *etc.Instance, p Params, b solver.Budget) (*Result, error) {
+	return SyncCGA{Params: p}.Solve(context.Background(), in, b)
 }
 
 func TestDefaultParamsMatchTable1(t *testing.T) {
@@ -71,8 +84,8 @@ func TestDefaultParamsMatchTable1(t *testing.T) {
 func TestRunRequiresStopCondition(t *testing.T) {
 	in := testInstance(t, 1)
 	p := DefaultParams()
-	if _, err := Run(in, p); err == nil {
-		t.Fatal("Run accepted params with no stop condition")
+	if _, err := run(in, p, solver.Budget{}); err == nil {
+		t.Fatal("Solve accepted an empty budget")
 	}
 }
 
@@ -89,9 +102,8 @@ func TestRunParamValidation(t *testing.T) {
 	}
 	for i, mutate := range bad {
 		p := DefaultParams()
-		p.MaxEvaluations = 100
 		mutate(&p)
-		if _, err := Run(in, p); err == nil {
+		if _, err := run(in, p, solver.Budget{MaxEvaluations: 100}); err == nil {
 			t.Fatalf("bad param set %d accepted", i)
 		}
 	}
@@ -100,11 +112,11 @@ func TestRunParamValidation(t *testing.T) {
 func TestRunSingleThreadDeterministic(t *testing.T) {
 	in := testInstance(t, 2)
 	p := smallParams(1, 42)
-	a, err := Run(in, p)
+	a, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, p)
+	b, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +134,7 @@ func TestRunSingleThreadDeterministic(t *testing.T) {
 func TestRunRespectsEvaluationBudget(t *testing.T) {
 	in := testInstance(t, 3)
 	p := smallParams(1, 1)
-	p.MaxEvaluations = 500
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +146,7 @@ func TestRunRespectsEvaluationBudget(t *testing.T) {
 func TestRunRespectsGenerationBudget(t *testing.T) {
 	in := testInstance(t, 4)
 	p := smallParams(2, 1)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 7
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxGenerations: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +163,8 @@ func TestRunRespectsGenerationBudget(t *testing.T) {
 func TestRunRespectsWallClock(t *testing.T) {
 	in := testInstance(t, 5)
 	p := smallParams(2, 1)
-	p.MaxEvaluations = 0
-	p.MaxDuration = 50 * time.Millisecond
 	start := time.Now()
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxDuration: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +185,7 @@ func TestRunImprovesOverMinMin(t *testing.T) {
 	in := testInstance(t, 6)
 	mm := heuristics.MinMin(in).Makespan()
 	p := smallParams(1, 7)
-	p.MaxEvaluations = 20000
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +196,7 @@ func TestRunImprovesOverMinMin(t *testing.T) {
 
 func TestRunBestMatchesSchedule(t *testing.T) {
 	in := testInstance(t, 7)
-	res, err := Run(in, smallParams(2, 3))
+	res, err := run(in, smallParams(2, 3), smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +216,7 @@ func TestRunMultiThreadedAllLockModes(t *testing.T) {
 	for _, mode := range []LockMode{PerCellRWMutex, PerCellMutex, GlobalMutex} {
 		p := smallParams(4, 11)
 		p.LockMode = mode
-		res, err := Run(in, p)
+		res, err := run(in, p, smallBudget)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -223,7 +229,7 @@ func TestRunMultiThreadedAllLockModes(t *testing.T) {
 func TestRunThreadsPartitionPopulation(t *testing.T) {
 	in := testInstance(t, 9)
 	p := smallParams(3, 13)
-	res, err := Run(in, p)
+	res, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestRunWithoutMinMinSeed(t *testing.T) {
 	in := testInstance(t, 10)
 	p := smallParams(1, 17)
 	p.DisableMinMinSeed = true
-	res, err := Run(in, p)
+	res, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +252,12 @@ func TestRunWithoutMinMinSeed(t *testing.T) {
 	// With the Min-min seed the very first population already contains
 	// its fitness; without it the initial best should generally be worse.
 	pSeeded := smallParams(1, 17)
-	pSeeded.MaxEvaluations = 70 // barely past initial evaluation (64)
-	p.MaxEvaluations = 70
-	seeded, err := Run(in, pSeeded)
+	barelyPastInit := solver.Budget{MaxEvaluations: 70} // initial evaluation is 64
+	seeded, err := run(in, pSeeded, barelyPastInit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unseeded, err := Run(in, p)
+	unseeded, err := run(in, p, barelyPastInit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +270,8 @@ func TestRunWithoutMinMinSeed(t *testing.T) {
 func TestRunConvergenceRecording(t *testing.T) {
 	in := testInstance(t, 11)
 	p := smallParams(2, 19)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 10
 	p.RecordConvergence = true
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxGenerations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +290,12 @@ func TestRunConvergenceRecording(t *testing.T) {
 func TestRunMoreEvaluationsIsNotWorse(t *testing.T) {
 	in := testInstance(t, 12)
 	short := smallParams(1, 23)
-	short.MaxEvaluations = 500
 	long := smallParams(1, 23)
-	long.MaxEvaluations = 10000
-	a, err := Run(in, short)
+	a, err := run(in, short, solver.Budget{MaxEvaluations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, long)
+	b, err := run(in, long, solver.Budget{MaxEvaluations: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestRunMoreEvaluationsIsNotWorse(t *testing.T) {
 func TestRunLocalSearchMovesCounted(t *testing.T) {
 	in := testInstance(t, 13)
 	p := smallParams(1, 29)
-	res, err := Run(in, p)
+	res, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestRunLocalSearchMovesCounted(t *testing.T) {
 		t.Fatal("H2LL reported zero improving moves over an entire run")
 	}
 	p.Local = operators.H2LL{Iterations: 0}
-	res0, err := Run(in, p)
+	res0, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestRunAllCrossovers(t *testing.T) {
 	for _, cx := range []operators.Crossover{operators.OnePoint{}, operators.TwoPoint{}, operators.Uniform{}} {
 		p := smallParams(2, 31)
 		p.Crossover = cx
-		res, err := Run(in, p)
+		res, err := run(in, p, smallBudget)
 		if err != nil {
 			t.Fatalf("%s: %v", cx.Name(), err)
 		}
@@ -343,7 +344,7 @@ func TestRunSweepPolicies(t *testing.T) {
 	for _, sw := range []topology.SweepPolicy{topology.LineSweep, topology.FixedRandomSweep, topology.NewRandomSweep} {
 		p := smallParams(2, 37)
 		p.Sweep = sw
-		if _, err := Run(in, p); err != nil {
+		if _, err := run(in, p, smallBudget); err != nil {
 			t.Fatalf("%v: %v", sw, err)
 		}
 	}
@@ -354,7 +355,7 @@ func TestRunSweepPolicies(t *testing.T) {
 func TestRunSyncBasic(t *testing.T) {
 	in := testInstance(t, 16)
 	p := smallParams(1, 41)
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +370,8 @@ func TestRunSyncBasic(t *testing.T) {
 func TestRunSyncDeterministic(t *testing.T) {
 	in := testInstance(t, 17)
 	p := smallParams(1, 43)
-	a, _ := RunSync(in, p)
-	b, _ := RunSync(in, p)
+	a, _ := runSync(in, p, smallBudget)
+	b, _ := runSync(in, p, smallBudget)
 	if a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
 		t.Fatal("sync runs with identical seed differ")
 	}
@@ -379,9 +380,7 @@ func TestRunSyncDeterministic(t *testing.T) {
 func TestRunSyncGenerationBudget(t *testing.T) {
 	in := testInstance(t, 18)
 	p := smallParams(1, 47)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 5
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p, solver.Budget{MaxGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,10 +396,8 @@ func TestRunSyncGenerationBudget(t *testing.T) {
 func TestRunSyncConvergenceMonotone(t *testing.T) {
 	in := testInstance(t, 19)
 	p := smallParams(1, 53)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 8
 	p.RecordConvergence = true
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p, solver.Budget{MaxGenerations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,13 +421,11 @@ func TestAsyncConvergesFasterThanSyncOnGenerations(t *testing.T) {
 	const seeds = 5
 	for s := uint64(0); s < seeds; s++ {
 		p := smallParams(1, 100+s)
-		p.MaxEvaluations = 0
-		p.MaxGenerations = 30
-		a, err := Run(in, p)
+		a, err := run(in, p, solver.Budget{MaxGenerations: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunSync(in, p)
+		b, err := runSync(in, p, solver.Budget{MaxGenerations: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,10 +460,8 @@ func TestAggregateSeriesWeighting(t *testing.T) {
 func TestRunDiversityRecording(t *testing.T) {
 	in := testInstance(t, 25)
 	p := smallParams(2, 61)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 12
 	p.RecordDiversity = true
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxGenerations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +488,8 @@ func TestRunDiversityRecording(t *testing.T) {
 func TestRunSyncDiversityRecording(t *testing.T) {
 	in := testInstance(t, 26)
 	p := smallParams(1, 67)
-	p.MaxEvaluations = 0
-	p.MaxGenerations = 6
 	p.RecordDiversity = true
-	res, err := RunSync(in, p)
+	res, err := runSync(in, p, solver.Budget{MaxGenerations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,11 +525,11 @@ func TestFlowtimeWeightValidation(t *testing.T) {
 	in := testInstance(t, 28)
 	p := smallParams(1, 71)
 	p.FlowtimeWeight = 1.5
-	if _, err := Run(in, p); err == nil {
+	if _, err := run(in, p, smallBudget); err == nil {
 		t.Fatal("FlowtimeWeight > 1 accepted")
 	}
 	p.FlowtimeWeight = -0.1
-	if _, err := Run(in, p); err == nil {
+	if _, err := run(in, p, smallBudget); err == nil {
 		t.Fatal("negative FlowtimeWeight accepted")
 	}
 }
@@ -554,14 +545,13 @@ func TestFlowtimeObjectiveOptimizesFlowtime(t *testing.T) {
 	for s := uint64(0); s < seeds; s++ {
 		base := smallParams(1, 200+s)
 		base.LocalProb = 0
-		base.MaxEvaluations = 6000
-		resM, err := Run(in, base)
+		resM, err := run(in, base, solver.Budget{MaxEvaluations: 6000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		withFT := base
 		withFT.FlowtimeWeight = 1
-		resF, err := Run(in, withFT)
+		resF, err := run(in, withFT, solver.Budget{MaxEvaluations: 6000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +568,7 @@ func TestFlowtimeObjectiveFitnessSemantics(t *testing.T) {
 	in := testInstance(t, 30)
 	p := smallParams(1, 73)
 	p.FlowtimeWeight = 0.5
-	res, err := Run(in, p)
+	res, err := run(in, p, smallBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,8 +618,7 @@ func TestSyncPartialGenerationRecorded(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := base
-			p.MaxEvaluations = popSize + tc.extra
-			res, err := RunSync(in, p)
+			res, err := runSync(in, p, solver.Budget{MaxEvaluations: popSize + tc.extra})
 			if err != nil {
 				t.Fatal(err)
 			}

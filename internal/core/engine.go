@@ -22,19 +22,16 @@ import (
 // deliberately niche into different search-space regions).
 type Result = solver.Result
 
-// Run executes PA-CGA (Algorithms 2–3) on the instance and returns the
-// result. It spawns Params.Threads worker goroutines, each evolving its
-// contiguous population block asynchronously until a stop condition
-// fires.
-func Run(inst *etc.Instance, p Params) (*Result, error) {
-	return RunContext(context.Background(), inst, p)
-}
-
-// RunContext is Run with context cancellation: the run stops at the
-// earliest of the params' stop conditions and ctx's cancellation,
-// checked at the same coarse granularity as the wall-clock deadline.
-func RunContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, error) {
-	p = p.withDefaults()
+// Solve implements solver.Solver: it executes PA-CGA (Algorithms 2–3)
+// on the instance. It spawns Params.Threads worker goroutines, each
+// evolving its contiguous population block asynchronously until the
+// first of the budget's bounds or ctx's cancellation fires; the
+// deadline and the context are checked once per block sweep.
+func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*Result, error) {
+	if b.IsZero() {
+		return nil, errNoStop
+	}
+	p := s.Params.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -51,7 +48,7 @@ func RunContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, err
 	initRNG := root.Split(0)
 	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.LockMode, p.fitness)
 
-	eng := solver.NewEngine(ctx, p.budget())
+	eng := solver.NewEngine(ctx, b)
 	eng.AddEvals(int64(pop.size())) // initial_evaluation of Algorithm 2
 	if eng.Observing() {
 		// Seed the convergence trace with the initial population's best,

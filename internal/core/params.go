@@ -10,15 +10,20 @@
 // paper's POSIX rwlocks. A synchronous single-threaded cellular GA is
 // included for the async-vs-sync ablation and as the substrate of the
 // cMA baseline.
+//
+// PACGA and SyncCGA are the entry points: each is configured by Params
+// and run by Solve(ctx, inst, budget), which stops at the first of the
+// budget's bounds or ctx's cancellation:
+//
+//	res, err := core.PACGA{Params: core.DefaultParams()}.Solve(ctx, inst,
+//		solver.Budget{MaxDuration: 90 * time.Second})
 package core
 
 import (
 	"fmt"
-	"time"
 
 	"gridsched/internal/operators"
 	"gridsched/internal/schedule"
-	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
 
@@ -57,9 +62,11 @@ func (m LockMode) String() string {
 	}
 }
 
-// Params collects every knob of PA-CGA. DefaultParams returns the paper's
-// Table 1 configuration; zero values for the interface-typed operators
-// are filled with the Table 1 defaults by Run.
+// Params collects every knob of PA-CGA except the stop conditions,
+// which come from the solver.Budget passed to Solve. DefaultParams
+// returns the paper's Table 1 configuration; zero values for the
+// interface-typed operators are filled with the Table 1 defaults by
+// Solve.
 type Params struct {
 	// GridW, GridH are the population mesh dimensions (Table 1: 16×16).
 	GridW, GridH int
@@ -103,18 +110,6 @@ type Params struct {
 	// seed GA restarts from the shared incumbent. It must belong to the
 	// instance being solved; a mismatched schedule is ignored.
 	SeedSchedule *schedule.Schedule
-	// Stop conditions; at least one must be set. They compose: the run
-	// stops at whichever triggers first.
-	//
-	// MaxDuration is the paper's wall-clock budget (90 s in Table 1).
-	// Like the paper, workers check it once per block sweep, so runs may
-	// overshoot by one generation (§3.2 accepts the same approximation).
-	MaxDuration time.Duration
-	// MaxGenerations bounds each worker's generation count.
-	MaxGenerations int64
-	// MaxEvaluations bounds the total number of fitness evaluations
-	// across all workers (checked per breeding step).
-	MaxEvaluations int64
 	// RecordConvergence enables per-generation sampling of the mean
 	// block makespan, aggregated into Result.Convergence (Fig. 6).
 	RecordConvergence bool
@@ -139,24 +134,6 @@ type Params struct {
 	// load off the makespan machine — so large weights pair best with a
 	// lower LocalProb. Must lie in [0, 1].
 	FlowtimeWeight float64
-}
-
-// budget translates the params' stop conditions into the solver
-// layer's shared Budget.
-func (p Params) budget() solver.Budget {
-	return solver.Budget{
-		MaxDuration:    p.MaxDuration,
-		MaxEvaluations: p.MaxEvaluations,
-		MaxGenerations: p.MaxGenerations,
-	}
-}
-
-// withBudget overwrites the params' stop conditions from a Budget.
-func (p Params) withBudget(b solver.Budget) Params {
-	p.MaxDuration = b.MaxDuration
-	p.MaxEvaluations = b.MaxEvaluations
-	p.MaxGenerations = b.MaxGenerations
-	return p
 }
 
 // fitness evaluates a schedule under the configured objective. Hot
@@ -244,9 +221,6 @@ func (p Params) validate() error {
 		if prob.v < 0 || prob.v > 1 {
 			return fmt.Errorf("core: %s = %v outside [0,1]", prob.name, prob.v)
 		}
-	}
-	if p.MaxDuration <= 0 && p.MaxGenerations <= 0 && p.MaxEvaluations <= 0 {
-		return fmt.Errorf("core: no stop condition set (need MaxDuration, MaxGenerations or MaxEvaluations)")
 	}
 	if p.FlowtimeWeight < 0 || p.FlowtimeWeight > 1 {
 		return fmt.Errorf("core: FlowtimeWeight = %v outside [0,1]", p.FlowtimeWeight)

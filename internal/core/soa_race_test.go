@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"gridsched/internal/solver"
 )
 
 // TestSoAPopulationConcurrentWorkers hammers the structure-of-arrays
@@ -18,11 +20,10 @@ func TestSoAPopulationConcurrentWorkers(t *testing.T) {
 		p.GridW, p.GridH = 8, 8
 		p.Threads = 4
 		p.Seed = 77
-		p.MaxEvaluations = 6000
 		p.LockMode = mode
 		p.RecordConvergence = true
 		p.RecordDiversity = true
-		res, err := Run(in, p)
+		res, err := run(in, p, solver.Budget{MaxEvaluations: 6000})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

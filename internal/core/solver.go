@@ -1,16 +1,20 @@
 package core
 
 import (
-	"context"
+	"errors"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/schedule"
 	"gridsched/internal/solver"
 )
 
-// PACGA adapts the parallel asynchronous cellular GA to the unified
-// solver interface. Params carries the full configuration; the budget
-// fields are overwritten by the Budget passed to Solve.
+// errNoStop rejects an empty budget: with no bound set a run would
+// never stop.
+var errNoStop = errors.New("core: no stop condition set (need MaxDuration, MaxGenerations or MaxEvaluations)")
+
+// PACGA is the parallel asynchronous cellular GA behind the unified
+// solver interface. Params carries the configuration; the Budget passed
+// to Solve carries the stop conditions.
 type PACGA struct {
 	Params Params
 }
@@ -51,13 +55,8 @@ func (s PACGA) InitEvals(*etc.Instance) int64 {
 // values read across block boundaries depend on worker interleaving.
 func (s PACGA) Reproducible() bool { return s.Params.Threads <= 1 }
 
-// Solve implements solver.Solver.
-func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	return RunContext(ctx, inst, s.Params.withBudget(b))
-}
-
-// SyncCGA adapts the synchronous cellular GA (the async-vs-sync
-// ablation) to the unified solver interface.
+// SyncCGA is the synchronous cellular GA (the async-vs-sync ablation)
+// behind the unified solver interface.
 type SyncCGA struct {
 	Params Params
 }
@@ -91,11 +90,6 @@ func (s SyncCGA) InitEvals(*etc.Instance) int64 {
 // Reproducible implements solver.Reproducible: the synchronous variant
 // runs one thread behind a generation barrier.
 func (s SyncCGA) Reproducible() bool { return true }
-
-// Solve implements solver.Solver.
-func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	return RunSyncContext(ctx, inst, s.Params.withBudget(b))
-}
 
 func init() {
 	solver.Register(PACGA{Params: DefaultParams()})

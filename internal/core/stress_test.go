@@ -6,6 +6,7 @@ import (
 
 	"gridsched/internal/etc"
 	"gridsched/internal/operators"
+	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
 
@@ -38,8 +39,7 @@ func TestRunManyThreadsBeyondPaper(t *testing.T) {
 		p.GridW, p.GridH = 8, 8
 		p.Threads = threads
 		p.Seed = 5
-		p.MaxEvaluations = 4000
-		res, err := Run(in, p)
+		res, err := run(in, p, solver.Budget{MaxEvaluations: 4000})
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -63,8 +63,7 @@ func TestRunOneThreadPerCell(t *testing.T) {
 	p.GridW, p.GridH = 4, 4
 	p.Threads = 16
 	p.Seed = 7
-	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,7 @@ func TestRunDegenerateGrids(t *testing.T) {
 		p.GridW, p.GridH = sh[0], sh[1]
 		p.Threads = 1
 		p.Seed = 9
-		p.MaxEvaluations = 500
-		res, err := Run(in, p)
+		res, err := run(in, p, solver.Budget{MaxEvaluations: 500})
 		if err != nil {
 			t.Fatalf("grid %dx%d: %v", sh[0], sh[1], err)
 		}
@@ -111,8 +109,7 @@ func TestConcurrentIndependentRuns(t *testing.T) {
 			p.GridW, p.GridH = 8, 8
 			p.Threads = 2
 			p.Seed = 100 // identical seed: single-engine determinism is per-run
-			p.MaxEvaluations = 3000
-			results[i], errs[i] = Run(in, p)
+			results[i], errs[i] = run(in, p, smallBudget)
 		}(i)
 	}
 	wg.Wait()
@@ -134,8 +131,7 @@ func TestRunTinyEvaluationBudget(t *testing.T) {
 	p.GridW, p.GridH = 8, 8
 	p.Threads = 2
 	p.Seed = 3
-	p.MaxEvaluations = 10
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +151,7 @@ func TestRunAllNeighborhoods(t *testing.T) {
 		p.Threads = 3
 		p.Neighborhood = n
 		p.Seed = 11
-		p.MaxEvaluations = 3000
-		res, err := Run(in, p)
+		res, err := run(in, p, smallBudget)
 		if err != nil {
 			t.Fatalf("%v: %v", n, err)
 		}
@@ -176,8 +171,7 @@ func TestRunReplaceAlwaysKeepsBestEver(t *testing.T) {
 	p.Threads = 2
 	p.Replacement = operators.ReplaceAlways
 	p.Seed = 13
-	p.MaxEvaluations = 4000
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +190,14 @@ func TestRunZeroProbabilityOperators(t *testing.T) {
 	p.Threads = 2
 	p.CrossProb, p.MutProb, p.LocalProb = 0, 0, 0
 	p.Seed = 17
-	p.MaxEvaluations = 2000
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cell 0 holds Min-min; nothing can improve on it without operators.
 	mmFit := res.BestFitness
 	p2 := p
-	p2.MaxEvaluations = 200
-	res2, err := Run(in, p2)
+	res2, err := run(in, p2, solver.Budget{MaxEvaluations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +212,7 @@ func TestResultPerThreadSumsToGenerations(t *testing.T) {
 	p.GridW, p.GridH = 8, 8
 	p.Threads = 4
 	p.Seed = 19
-	p.MaxEvaluations = 5000
-	res, err := Run(in, p)
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,19 @@ import (
 	"gridsched/internal/topology"
 )
 
-// RunSync executes the synchronous cellular GA model of §3.1: every
-// generation, all offspring are produced against the current population
-// and placed in an auxiliary population, which then replaces the current
-// one at once. It is single-threaded (Params.Threads and LockMode are
-// ignored) and serves as the async-vs-sync ablation and as the substrate
-// for the cellular memetic baseline.
-func RunSync(inst *etc.Instance, p Params) (*Result, error) {
-	return RunSyncContext(context.Background(), inst, p)
-}
-
-// RunSyncContext is RunSync with context cancellation, checked at
-// generation granularity like the wall-clock deadline.
-func RunSyncContext(ctx context.Context, inst *etc.Instance, p Params) (*Result, error) {
-	p = p.withDefaults()
+// Solve implements solver.Solver: it executes the synchronous cellular
+// GA model of §3.1. Every generation, all offspring are produced
+// against the current population and placed in an auxiliary
+// population, which then replaces the current one at once. It is
+// single-threaded (Params.Threads and LockMode are ignored) and serves
+// as the async-vs-sync ablation and as the substrate for the cellular
+// memetic baseline. The deadline and ctx are checked at generation
+// granularity.
+func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*Result, error) {
+	if b.IsZero() {
+		return nil, errNoStop
+	}
+	p := s.Params.withDefaults()
 	p.Threads = 1
 	p.LockMode = NoLock
 	if err := p.validate(); err != nil {
@@ -55,7 +54,7 @@ func RunSyncContext(ctx context.Context, inst *etc.Instance, p Params) (*Result,
 	neigh := make([]int, 0, p.Neighborhood.Size())
 	cands := make([]operators.Candidate, 0, p.Neighborhood.Size())
 
-	eng := solver.NewEngine(ctx, p.budget())
+	eng := solver.NewEngine(ctx, b)
 	eng.AddEvals(int64(pop.size()))
 	if eng.Observing() {
 		_, f := pop.best()

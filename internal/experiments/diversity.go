@@ -9,6 +9,7 @@ import (
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
 	"gridsched/internal/operators"
+	"gridsched/internal/solver"
 	"gridsched/internal/textplot"
 )
 
@@ -35,30 +36,24 @@ type DiversitySeries struct {
 // toward the same packing and would dominate the comparison), binary
 // tournament selection and identical operator probabilities in all
 // models. The only difference left is whether mating is restricted to an
-// L5 neighborhood or global.
-func DiversityStudy(inst *etc.Instance, sc Scale) ([]DiversitySeries, error) {
-	return DiversityStudyContext(context.Background(), inst, sc)
-}
-
-// DiversityStudyContext is DiversityStudy under a context: cancellation
-// stops the current run through the budget engine and aborts the study
-// with the context's error.
-func DiversityStudyContext(ctx context.Context, inst *etc.Instance, sc Scale) ([]DiversitySeries, error) {
+// L5 neighborhood or global. Cancelling ctx stops the current run
+// through the budget engine and aborts the study with the context's
+// error.
+func DiversityStudy(ctx context.Context, inst *etc.Instance, sc Scale) ([]DiversitySeries, error) {
 	sc = sc.withDefaults()
-	gens := int64(40)
+	budget := solver.Budget{MaxGenerations: 40}
 
 	cellular := func(threads int) func(seed uint64) ([]float64, error) {
 		return func(seed uint64) ([]float64, error) {
 			p := core.DefaultParams()
 			p.Threads = threads
 			p.Seed = seed
-			p.MaxGenerations = gens
 			p.LocalProb = 0
 			p.Selector = operators.BinaryTournament{}
 			p.CrossProb, p.MutProb = 0.9, 0.2
 			p.DisableMinMinSeed = true
 			p.RecordDiversity = true
-			res, err := core.RunContext(ctx, inst, p)
+			res, err := core.PACGA{Params: p}.Solve(ctx, inst, budget)
 			if err != nil {
 				return nil, err
 			}
@@ -73,14 +68,13 @@ func DiversityStudyContext(ctx context.Context, inst *etc.Instance, sc Scale) ([
 		{"cellular", cellular(1)},
 		{"cellular-3t", cellular(3)},
 		{"panmictic", func(seed uint64) ([]float64, error) {
-			res, err := baselines.GenerationalContext(ctx, inst, baselines.GenerationalConfig{
+			res, err := baselines.GenerationalSolver{Config: baselines.GenerationalConfig{
 				PopSize:         256,
 				Seed:            seed,
-				MaxGenerations:  gens,
 				CrossProb:       0.9,
 				MutProb:         0.2,
 				RecordDiversity: true,
-			})
+			}}.Solve(ctx, inst, budget)
 			if err != nil {
 				return nil, err
 			}

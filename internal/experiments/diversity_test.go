@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestDiversityStudyShape(t *testing.T) {
 	in := smallInstance(t, "u_i_hihi.0")
 	sc := Scale{Runs: 2, BaseSeed: 5}
-	series, err := DiversityStudy(in, sc)
+	series, err := DiversityStudy(context.Background(), in, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,14 @@ func (sc Scale) withDefaults() Scale {
 	return sc
 }
 
-// apply writes the scale's budget into params.
-func (sc Scale) apply(p *core.Params) {
-	p.MaxDuration = sc.WallTime
-	if sc.WallTime <= 0 {
-		p.MaxEvaluations = sc.Evaluations
+// apply returns the scale's per-run budget: the wall-clock budget
+// when set, otherwise the evaluation budget (a wall-clock scale must
+// not be silently truncated by a leftover evaluation count).
+func (sc Scale) apply() solver.Budget {
+	if sc.WallTime > 0 {
+		return solver.Budget{MaxDuration: sc.WallTime}
 	}
+	return solver.Budget{MaxEvaluations: sc.Evaluations}
 }
 
 // --- Table 1 ---
@@ -136,15 +138,10 @@ const Fig4MaxThreads = 4
 // iteration budgets {0, 1, 5, 10} on one instance. The scale must use a
 // wall-clock budget: speedup compares work done in equal time, so an
 // evaluation budget would be circular. Replications run sequentially so
-// the measured run has the machine to itself.
-func Fig4(inst *etc.Instance, sc Scale) ([]Fig4Row, error) {
-	return Fig4Context(context.Background(), inst, sc)
-}
-
-// Fig4Context is Fig4 under a context: cancellation stops the current
-// run through the budget engine and aborts the experiment with the
-// context's error.
-func Fig4Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig4Row, error) {
+// the measured run has the machine to itself. Cancelling ctx stops the
+// current run through the budget engine and aborts the experiment with
+// the context's error.
+func Fig4(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig4Row, error) {
 	sc = sc.withDefaults()
 	if sc.WallTime <= 0 {
 		return nil, fmt.Errorf("experiments: Fig4 needs a wall-clock budget (speedup is evaluations per unit time)")
@@ -162,8 +159,7 @@ func Fig4Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig4Row, 
 				p.Local = operators.H2LL{Iterations: ls}
 				p.Threads = threads
 				p.Seed = sc.BaseSeed + uint64(run)
-				sc.apply(&p)
-				res, err := core.RunContext(ctx, inst, p)
+				res, err := core.PACGA{Params: p}.Solve(ctx, inst, sc.apply())
 				if err != nil {
 					return nil, err
 				}
@@ -249,14 +245,8 @@ type Fig5Cell struct {
 }
 
 // Fig5 runs the four configurations on each instance at the scale's
-// thread count and budget.
-func Fig5(instances []*etc.Instance, sc Scale) ([]Fig5Cell, error) {
-	return Fig5Context(context.Background(), instances, sc)
-}
-
-// Fig5Context is Fig5 under a context; see Fig4Context for the
-// cancellation contract.
-func Fig5Context(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Fig5Cell, error) {
+// thread count and budget; see Fig4 for the cancellation contract.
+func Fig5(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Fig5Cell, error) {
 	sc = sc.withDefaults()
 	var cells []Fig5Cell
 	for _, inst := range instances {
@@ -271,8 +261,7 @@ func Fig5Context(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Fi
 				p.Local = operators.H2LL{Iterations: cfg.LSIters}
 				p.Threads = sc.Threads
 				p.Seed = sc.BaseSeed + uint64(run)
-				sc.apply(&p)
-				res, err := core.RunContext(ctx, inst, p)
+				res, err := core.PACGA{Params: p}.Solve(ctx, inst, sc.apply())
 				if err != nil {
 					return nil, err
 				}
@@ -364,8 +353,8 @@ func RenderFig5(cells []Fig5Cell) string {
 // Table2Comparators are the registry names of the default literature
 // comparator columns, in display order. Table2 resolves them through
 // solver.Lookup, so adding a comparator means registering a solver and
-// appending its name here (or passing a custom list to Table2Solvers) —
-// not growing a switch.
+// appending its name here (or passing a custom list to Table2) — not
+// growing a switch.
 var Table2Comparators = []string{"struggle", "cma-lth"}
 
 // Table2Cell is one comparator column of a row: the solver's registry
@@ -405,34 +394,18 @@ func (r Table2Row) BestIsPACGA() bool {
 	return r.Short == best || r.Full == best
 }
 
-// Table2 runs the default comparator columns against PA-CGA on each
-// instance, reproducing the paper's comparison *semantics*: the
-// published Struggle GA and cMA+LTH numbers were produced by 90-second
-// runs on hardware the paper measures to be ~9× slower (the TSCP
-// calibration), so the comparators receive budget/ShortDivisor — the
-// same effective compute as the paper's comparators had. PA-CGA appears
-// at that same short budget (the paper's "10 sec" column: an
-// equal-compute comparison) and at the full budget (the paper's
-// headline 90 s column).
-func Table2(instances []*etc.Instance, sc Scale) ([]Table2Row, error) {
-	return Table2SolversContext(context.Background(), instances, sc, Table2Comparators)
-}
-
-// Table2Context is Table2 under a context; see Fig4Context for the
-// cancellation contract.
-func Table2Context(ctx context.Context, instances []*etc.Instance, sc Scale) ([]Table2Row, error) {
-	return Table2SolversContext(ctx, instances, sc, Table2Comparators)
-}
-
-// Table2Solvers is Table2 with an explicit comparator column list:
-// every name is resolved through the solver registry and run at the
-// short budget through the unified Solver interface.
-func Table2Solvers(instances []*etc.Instance, sc Scale, comparators []string) ([]Table2Row, error) {
-	return Table2SolversContext(context.Background(), instances, sc, comparators)
-}
-
-// Table2SolversContext is Table2Solvers under a context.
-func Table2SolversContext(ctx context.Context, instances []*etc.Instance, sc Scale, comparators []string) ([]Table2Row, error) {
+// Table2 runs the named comparator columns (Table2Comparators for the
+// paper's) against PA-CGA on each instance, reproducing the paper's
+// comparison *semantics*: the published Struggle GA and cMA+LTH numbers
+// were produced by 90-second runs on hardware the paper measures to be
+// ~9× slower (the TSCP calibration), so the comparators receive
+// budget/ShortDivisor — the same effective compute as the paper's
+// comparators had. PA-CGA appears at that same short budget (the
+// paper's "10 sec" column: an equal-compute comparison) and at the full
+// budget (the paper's headline 90 s column). Every comparator name is
+// resolved through the solver registry and run through the unified
+// Solver interface; see Fig4 for the cancellation contract.
+func Table2(ctx context.Context, instances []*etc.Instance, sc Scale, comparators []string) ([]Table2Row, error) {
 	sc = sc.withDefaults()
 	solvers := make([]solver.Solver, len(comparators))
 	for i, name := range comparators {
@@ -443,19 +416,12 @@ func Table2SolversContext(ctx context.Context, instances []*etc.Instance, sc Sca
 		solvers[i] = s
 	}
 
-	// Per the Scale contract, the evaluation budget applies only when no
-	// wall-clock budget is set (a wall-clock scale must not be silently
-	// truncated by a leftover evaluation count).
-	var fullBudget, shortBudget solver.Budget
+	fullBudget := sc.apply()
+	shortBudget := fullBudget
 	if sc.WallTime > 0 {
-		fullBudget.MaxDuration = sc.WallTime
 		shortBudget.MaxDuration = sc.WallTime / time.Duration(sc.ShortDivisor)
 	} else {
-		fullBudget.MaxEvaluations = sc.Evaluations
-		shortBudget.MaxEvaluations = sc.Evaluations / int64(sc.ShortDivisor)
-		if shortBudget.MaxEvaluations < 1 {
-			shortBudget.MaxEvaluations = 1
-		}
+		shortBudget.MaxEvaluations = max(sc.Evaluations/int64(sc.ShortDivisor), 1)
 	}
 
 	pacga := core.PACGA{Params: core.DefaultParams()}
@@ -542,14 +508,9 @@ type Fig6Series struct {
 	Mean    []float64
 }
 
-// Fig6 records convergence for 1..4 threads on one instance.
-func Fig6(inst *etc.Instance, sc Scale) ([]Fig6Series, error) {
-	return Fig6Context(context.Background(), inst, sc)
-}
-
-// Fig6Context is Fig6 under a context; see Fig4Context for the
-// cancellation contract.
-func Fig6Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig6Series, error) {
+// Fig6 records convergence for 1..4 threads on one instance; see Fig4
+// for the cancellation contract.
+func Fig6(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig6Series, error) {
 	sc = sc.withDefaults()
 	var out []Fig6Series
 	for threads := 1; threads <= Fig4MaxThreads; threads++ {
@@ -562,8 +523,7 @@ func Fig6Context(ctx context.Context, inst *etc.Instance, sc Scale) ([]Fig6Serie
 			p.Threads = threads
 			p.Seed = sc.BaseSeed + uint64(run)
 			p.RecordConvergence = true
-			sc.apply(&p)
-			res, err := core.RunContext(ctx, inst, p)
+			res, err := core.PACGA{Params: p}.Solve(ctx, inst, sc.apply())
 			if err != nil {
 				return nil, err
 			}

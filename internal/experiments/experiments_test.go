@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestTable1MentionsPaperParameters(t *testing.T) {
 
 func TestFig4RequiresWallClock(t *testing.T) {
 	in := smallInstance(t, "u_c_hihi.0")
-	if _, err := Fig4(in, tinyScale()); err == nil {
+	if _, err := Fig4(context.Background(), in, tinyScale()); err == nil {
 		t.Fatal("Fig4 accepted an evaluation-budget scale")
 	}
 }
@@ -63,7 +64,7 @@ func TestFig4ShapeAndBaseline(t *testing.T) {
 	}
 	in := smallInstance(t, "u_c_hihi.0")
 	sc := Scale{Runs: 1, WallTime: 30 * time.Millisecond, Threads: 3, BaseSeed: 1}
-	rows, err := Fig4(in, sc)
+	rows, err := Fig4(context.Background(), in, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestFig4ShapeAndBaseline(t *testing.T) {
 
 func TestFig5CellsAndRender(t *testing.T) {
 	instances := []*etc.Instance{smallInstance(t, "u_i_hihi.0"), smallInstance(t, "u_c_lolo.0")}
-	cells, err := Fig5(instances, tinyScale())
+	cells, err := Fig5(context.Background(), instances, tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFig5CellsAndRender(t *testing.T) {
 
 func TestFig5SignificanceStructure(t *testing.T) {
 	instances := []*etc.Instance{smallInstance(t, "u_s_hilo.0")}
-	cells, err := Fig5(instances, tinyScale())
+	cells, err := Fig5(context.Background(), instances, tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFig5SignificanceStructure(t *testing.T) {
 
 func TestTable2RowsAndRender(t *testing.T) {
 	instances := []*etc.Instance{smallInstance(t, "u_i_hilo.0")}
-	rows, err := Table2(instances, tinyScale())
+	rows, err := Table2(context.Background(), instances, tinyScale(), Table2Comparators)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestTable2BestIsPACGA(t *testing.T) {
 
 func TestTable2SolversUnknownComparator(t *testing.T) {
 	instances := []*etc.Instance{smallInstance(t, "u_i_hilo.0")}
-	if _, err := Table2Solvers(instances, tinyScale(), []string{"no-such-solver"}); err == nil {
+	if _, err := Table2(context.Background(), instances, tinyScale(), []string{"no-such-solver"}); err == nil {
 		t.Fatal("unknown comparator accepted")
 	}
 }
@@ -195,7 +196,7 @@ func TestTable2SolversUnknownComparator(t *testing.T) {
 func TestFig6SeriesAndRender(t *testing.T) {
 	in := smallInstance(t, "u_c_hihi.0")
 	sc := tinyScale()
-	series, err := Fig6(in, sc)
+	series, err := Fig6(context.Background(), in, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

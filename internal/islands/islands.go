@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"gridsched/internal/core"
 	"gridsched/internal/etc"
@@ -60,11 +59,6 @@ type Config struct {
 	SeedMinMin bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Stop conditions; at least one must be set. MaxGenerations bounds
-	// each island; MaxEvaluations is global.
-	MaxGenerations int64
-	MaxEvaluations int64
-	MaxDuration    time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -130,9 +124,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("islands: probability %v outside [0,1]", p)
 		}
 	}
-	if c.MaxGenerations <= 0 && c.MaxEvaluations <= 0 && c.MaxDuration <= 0 {
-		return fmt.Errorf("islands: no stop condition set")
-	}
 	return nil
 }
 
@@ -160,16 +151,16 @@ type island struct {
 	gens          int64
 }
 
-// Run executes the island model and reports a core.Result so all engines
-// share one result shape (PerThread holds per-island generations).
-func Run(inst *etc.Instance, cfg Config) (*core.Result, error) {
-	return RunContext(context.Background(), inst, cfg)
-}
-
-// RunContext is Run with context cancellation, checked by each island
-// at generation granularity like the wall-clock deadline.
-func RunContext(ctx context.Context, inst *etc.Instance, cfg Config) (*core.Result, error) {
-	cfg = cfg.withDefaults()
+// Solve implements solver.Solver: it executes the island model and
+// reports the shared result shape (PerThread holds per-island
+// generations). MaxGenerations bounds each island; MaxEvaluations is
+// global. Each island checks the deadline and ctx at generation
+// granularity.
+func (s Solver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
+	if b.IsZero() {
+		return nil, fmt.Errorf("islands: no stop condition set")
+	}
+	cfg := s.Config.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -179,11 +170,7 @@ func RunContext(ctx context.Context, inst *etc.Instance, cfg Config) (*core.Resu
 	}
 
 	root := rng.New(cfg.Seed)
-	eng := solver.NewEngine(ctx, solver.Budget{
-		MaxDuration:    cfg.MaxDuration,
-		MaxEvaluations: cfg.MaxEvaluations,
-		MaxGenerations: cfg.MaxGenerations,
-	})
+	eng := solver.NewEngine(ctx, b)
 
 	// Ring channels: island i sends to (i+1) mod N. Buffers are sized
 	// so a sender never blocks even if the receiver has already
@@ -248,7 +235,7 @@ func RunContext(ctx context.Context, inst *etc.Instance, cfg Config) (*core.Resu
 	}
 	wg.Wait()
 
-	res := &core.Result{
+	res := &solver.Result{
 		Evaluations:     eng.Evals(),
 		Duration:        eng.Elapsed(),
 		EffectiveBudget: eng.EffectiveBudget(),

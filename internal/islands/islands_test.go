@@ -1,11 +1,18 @@
 package islands
 
 import (
+	"context"
 	"testing"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/heuristics"
+	"gridsched/internal/solver"
 )
+
+// run solves through the island model's Solve method.
+func run(in *etc.Instance, cfg Config, b solver.Budget) (*solver.Result, error) {
+	return Solver{Config: cfg}.Solve(context.Background(), in, b)
+}
 
 func testInstance(t testing.TB, seed uint64) *etc.Instance {
 	t.Helper()
@@ -21,7 +28,7 @@ func testInstance(t testing.TB, seed uint64) *etc.Instance {
 
 func TestRunBasic(t *testing.T) {
 	in := testInstance(t, 1)
-	res, err := Run(in, Config{Seed: 1, MaxGenerations: 10, SeedMinMin: true})
+	res, err := run(in, Config{Seed: 1, SeedMinMin: true}, solver.Budget{MaxGenerations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +48,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunGenerationBudgetPerIsland(t *testing.T) {
 	in := testInstance(t, 2)
-	res, err := Run(in, Config{Seed: 3, MaxGenerations: 7, Islands: 3})
+	res, err := run(in, Config{Seed: 3, Islands: 3}, solver.Budget{MaxGenerations: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func TestRunGenerationBudgetPerIsland(t *testing.T) {
 
 func TestRunEvaluationBudget(t *testing.T) {
 	in := testInstance(t, 3)
-	res, err := Run(in, Config{Seed: 5, MaxEvaluations: 2000})
+	res, err := run(in, Config{Seed: 5}, solver.Budget{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +78,18 @@ func TestRunEvaluationBudget(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	in := testInstance(t, 4)
+	if _, err := run(in, Config{Seed: 1}, solver.Budget{}); err == nil {
+		t.Fatal("empty budget accepted")
+	}
 	cases := []Config{
-		{Seed: 1}, // no stop condition
-		{Seed: 1, Islands: -1, MaxGenerations: 1},         // bad island count
-		{Seed: 1, GridW: -1, GridH: 2, MaxGenerations: 1}, // bad grid
-		{Seed: 1, Migrants: 1000, MaxGenerations: 1},      // too many migrants
-		{Seed: 1, CrossProb: 2, MaxGenerations: 1},        // bad probability
-		{Seed: 1, MigrationEvery: -1, MaxGenerations: 1},  // negative interval
+		{Seed: 1, Islands: -1},         // bad island count
+		{Seed: 1, GridW: -1, GridH: 2}, // bad grid
+		{Seed: 1, Migrants: 1000},      // too many migrants
+		{Seed: 1, CrossProb: 2},        // bad probability
+		{Seed: 1, MigrationEvery: -1},  // negative interval
 	}
 	for i, cfg := range cases {
-		if _, err := Run(in, cfg); err == nil {
+		if _, err := run(in, cfg, solver.Budget{MaxGenerations: 1}); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
@@ -88,11 +97,11 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunImprovesWithBudget(t *testing.T) {
 	in := testInstance(t, 5)
-	short, err := Run(in, Config{Seed: 7, MaxGenerations: 1, SeedMinMin: true})
+	short, err := run(in, Config{Seed: 7, SeedMinMin: true}, solver.Budget{MaxGenerations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Run(in, Config{Seed: 7, MaxGenerations: 40, SeedMinMin: true})
+	long, err := run(in, Config{Seed: 7, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +122,7 @@ func TestRunBeatsMinMinSeed(t *testing.T) {
 	mm := heuristics.MinMin(in).Makespan()
 	improved := false
 	for seed := uint64(9); seed < 12 && !improved; seed++ {
-		res, err := Run(in, Config{Seed: seed, MaxGenerations: 60, SeedMinMin: true})
+		res, err := run(in, Config{Seed: seed, SeedMinMin: true}, solver.Budget{MaxGenerations: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,12 +143,12 @@ func TestMigrationSpreadsEliteAcrossIslands(t *testing.T) {
 	// should not hurt, and usually helps (allow equality, forbid a
 	// meaningful regression).
 	in := testInstance(t, 7)
-	with, err := Run(in, Config{Seed: 11, MaxGenerations: 40, MigrationEvery: 5, SeedMinMin: true})
+	with, err := run(in, Config{Seed: 11, MigrationEvery: 5, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// MigrationEvery beyond MaxGenerations disables migration entirely.
-	without, err := Run(in, Config{Seed: 11, MaxGenerations: 40, MigrationEvery: 1000, SeedMinMin: true})
+	without, err := run(in, Config{Seed: 11, MigrationEvery: 1000, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestSingleIsland(t *testing.T) {
 	// One island degenerates to a plain asynchronous cellular GA; the
 	// ring points at itself and must not deadlock.
 	in := testInstance(t, 8)
-	res, err := Run(in, Config{Seed: 13, Islands: 1, MaxGenerations: 15, MigrationEvery: 3})
+	res, err := run(in, Config{Seed: 13, Islands: 1, MigrationEvery: 3}, solver.Budget{MaxGenerations: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestSingleIsland(t *testing.T) {
 
 func TestManySmallIslands(t *testing.T) {
 	in := testInstance(t, 9)
-	res, err := Run(in, Config{Seed: 15, Islands: 8, GridW: 4, GridH: 4, MaxGenerations: 10, MigrationEvery: 2, Migrants: 2})
+	res, err := run(in, Config{Seed: 15, Islands: 8, GridW: 4, GridH: 4, MigrationEvery: 2, Migrants: 2}, solver.Budget{MaxGenerations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +187,8 @@ func TestManySmallIslands(t *testing.T) {
 func BenchmarkIslands4x64(b *testing.B) {
 	in := testInstance(b, 1)
 	for i := 0; i < b.N; i++ {
-		cfg := Config{Seed: uint64(i), MaxEvaluations: 4000, SeedMinMin: true}
-		if _, err := Run(in, cfg); err != nil {
+		cfg := Config{Seed: uint64(i), SeedMinMin: true}
+		if _, err := run(in, cfg, solver.Budget{MaxEvaluations: 4000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,13 +1,8 @@
 package islands
 
-import (
-	"context"
+import "gridsched/internal/solver"
 
-	"gridsched/internal/etc"
-	"gridsched/internal/solver"
-)
-
-// Solver adapts the island model to the unified solver interface.
+// Solver is the island model behind the unified solver interface.
 // Config carries everything but the stop conditions, which come from
 // the Budget passed to Solve.
 type Solver struct {
@@ -32,15 +27,6 @@ func (s Solver) WithSeed(seed uint64) solver.Solver {
 // concurrently and migrants arrive whenever the ring delivers them, so
 // equal seeds do not reproduce bit-identical runs.
 func (s Solver) Reproducible() bool { return false }
-
-// Solve implements solver.Solver.
-func (s Solver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*solver.Result, error) {
-	cfg := s.Config
-	cfg.MaxDuration = b.MaxDuration
-	cfg.MaxEvaluations = b.MaxEvaluations
-	cfg.MaxGenerations = b.MaxGenerations
-	return RunContext(ctx, inst, cfg)
-}
 
 func init() {
 	solver.Register(Solver{Config: Config{Seed: 1, SeedMinMin: true}})

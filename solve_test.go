@@ -50,8 +50,9 @@ func zeroBudgetSolvers() map[string]bool {
 }
 
 // TestSolveRegistryRoundTrip resolves every registered solver by name
-// and solves the same tiny instance, checking the common Result
-// contract — and bit-reproducibility for the non-parallel solvers.
+// and solves the same tiny instance under each budget of the table,
+// checking the common Result contract — and bit-reproducibility for the
+// non-parallel solvers.
 func TestSolveRegistryRoundTrip(t *testing.T) {
 	in := solveTestInstance(t)
 	zero := zeroBudgetSolvers()
@@ -59,34 +60,68 @@ func TestSolveRegistryRoundTrip(t *testing.T) {
 	if len(names) < 14 {
 		t.Fatalf("only %d registered solvers: %v", len(names), names)
 	}
-	for _, name := range names {
-		opts := SolveOptions{Budget: Budget{MaxEvaluations: 600}, Seed: 7}
-		res, err := Solve(name, in, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Best == nil || !res.Best.Complete() {
-			t.Fatalf("%s: incomplete best schedule", name)
-		}
-		if err := res.Best.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.BestFitness <= 0 || res.Evaluations <= 0 {
-			t.Fatalf("%s: degenerate result %+v", name, res)
-		}
-		if zero[name] && res.Evaluations != 1 {
-			t.Fatalf("%s: zero-budget solver reported %d evaluations", name, res.Evaluations)
-		}
-		if parallelSolvers[name] {
-			continue
-		}
-		again, err := Solve(name, in, opts)
-		if err != nil {
-			t.Fatalf("%s (rerun): %v", name, err)
-		}
-		if again.BestFitness != res.BestFitness {
-			t.Fatalf("%s: not deterministic under fixed seed: %v vs %v",
-				name, res.BestFitness, again.BestFitness)
+	const gens = 3
+	for _, tc := range []struct {
+		budget Budget
+		// rejects lists the solvers that must refuse the budget.
+		rejects map[string]bool
+		// wantGens pins exact generation counts.
+		wantGens map[string]int64
+	}{
+		{budget: Budget{MaxEvaluations: 600}},
+		// Generations only: struggle is steady-state (it has no
+		// generations), so accepting this budget would run it unbounded;
+		// cma-lth must hand the bound to its synchronous engine.
+		{
+			budget:   Budget{MaxGenerations: gens},
+			rejects:  map[string]bool{"struggle": true},
+			wantGens: map[string]int64{"cma-lth": gens, "sync-cga": gens},
+		},
+	} {
+		for _, name := range names {
+			opts := SolveOptions{Budget: tc.budget, Seed: 7}
+			res, err := Solve(context.Background(), name, in, opts)
+			if tc.rejects[name] {
+				if err == nil {
+					t.Fatalf("%s: accepted budget %v", name, tc.budget)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s (%v): %v", name, tc.budget, err)
+			}
+			if res.Best == nil || !res.Best.Complete() {
+				t.Fatalf("%s: incomplete best schedule", name)
+			}
+			if err := res.Best.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.BestFitness <= 0 || res.Evaluations <= 0 {
+				t.Fatalf("%s: degenerate result %+v", name, res)
+			}
+			if zero[name] && res.Evaluations != 1 {
+				t.Fatalf("%s: zero-budget solver reported %d evaluations", name, res.Evaluations)
+			}
+			if g := tc.budget.MaxGenerations; g > 0 {
+				// One generation bound per concurrent worker at most.
+				if res.Generations > g*8 {
+					t.Fatalf("%s: %d generations under a per-worker bound of %d", name, res.Generations, g)
+				}
+				if want, ok := tc.wantGens[name]; ok && res.Generations != want {
+					t.Fatalf("%s: %d generations, want %d", name, res.Generations, want)
+				}
+			}
+			if parallelSolvers[name] {
+				continue
+			}
+			again, err := Solve(context.Background(), name, in, opts)
+			if err != nil {
+				t.Fatalf("%s (rerun): %v", name, err)
+			}
+			if again.BestFitness != res.BestFitness {
+				t.Fatalf("%s: not deterministic under fixed seed: %v vs %v",
+					name, res.BestFitness, again.BestFitness)
+			}
 		}
 	}
 }
@@ -103,7 +138,7 @@ func TestSolveBudgetParity(t *testing.T) {
 		if zero[name] || compositeSolvers[name] {
 			continue
 		}
-		res, err := Solve(name, in, SolveOptions{Budget: Budget{MaxEvaluations: budget}, Seed: 3})
+		res, err := Solve(context.Background(), name, in, SolveOptions{Budget: Budget{MaxEvaluations: budget}, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +158,7 @@ func TestSolveMissingStopCondition(t *testing.T) {
 		if zero[name] {
 			continue
 		}
-		if _, err := Solve(name, in, SolveOptions{}); err == nil {
+		if _, err := Solve(context.Background(), name, in, SolveOptions{}); err == nil {
 			t.Fatalf("%s: empty budget accepted", name)
 		}
 	}
@@ -141,10 +176,7 @@ func TestSolveContextCancellation(t *testing.T) {
 		if zero[name] {
 			continue
 		}
-		res, err := Solve(name, in, SolveOptions{
-			Context: cancelled,
-			Budget:  Budget{MaxDuration: time.Hour},
-		})
+		res, err := Solve(cancelled, name, in, SolveOptions{Budget: Budget{MaxDuration: time.Hour}})
 		if compositeSolvers[name] && err != nil {
 			continue // nothing ran, nothing to report: the context error is the honest outcome
 		}
@@ -164,10 +196,7 @@ func TestSolveContextCancellation(t *testing.T) {
 		cancelLive()
 	}()
 	start := time.Now()
-	if _, err := Solve("pa-cga", in, SolveOptions{
-		Context: ctx,
-		Budget:  Budget{MaxDuration: time.Hour},
-	}); err != nil {
+	if _, err := Solve(ctx, "pa-cga", in, SolveOptions{Budget: Budget{MaxDuration: time.Hour}}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -179,7 +208,7 @@ func TestSolveContextCancellation(t *testing.T) {
 // facade.
 func TestSolveUnknownName(t *testing.T) {
 	in := solveTestInstance(t)
-	if _, err := Solve("no-such-solver", in, SolveOptions{}); err == nil {
+	if _, err := Solve(context.Background(), "no-such-solver", in, SolveOptions{}); err == nil {
 		t.Fatal("unknown solver accepted")
 	}
 	if _, err := LookupSolver("tabu"); err != nil {
