@@ -359,28 +359,102 @@ type H2LL struct {
 // Name implements LocalSearch.
 func (h H2LL) Name() string { return fmt.Sprintf("h2ll/%d", h.Iterations) }
 
-// h2llScratch is the pooled per-call state of H2LL.Apply: the scratch
-// arena behind the batched move-scoring and rank-selection kernels.
-// Pooling keeps Apply — called once per offspring on every worker —
-// off the allocator.
+// h2llScratch is the pooled per-call state of H2LL.Apply: the machine
+// order and the per-machine task buckets that let each iteration skip
+// the O(tasks) scan of the assignment vector and the re-ranking of the
+// machines. Pooling keeps Apply — called once per offspring on every
+// worker — off the allocator: after warm-up at a shape it allocates
+// nothing.
 type h2llScratch struct {
-	sc schedule.Scratch
+	// order holds the machines in ascending (CT, index) order; the
+	// candidate set is its prefix.
+	order []int
+	// plane backs start, count and tasks in one allocation. tasks holds
+	// the task buckets: machine m's tasks, in ascending order, are
+	// tasks[start[m] : start[m]+count[m]].
+	plane               []int32
+	start, count, tasks []int32
 }
 
 var h2llPool = sync.Pool{New: func() any { return new(h2llScratch) }}
 
-// Apply implements LocalSearch. Each iteration reads the makespan
-// machine in O(1) from the schedule's max index, then picks the move in
-// three flat O(machines) passes: a quickselect for the rank-Candidates
-// threshold machine, one contiguous move-scoring sweep, and one scan
-// over the completion-time lane. The historical implementation
-// materialized the sorted least-loaded candidate list (heap selection
-// plus heapsort) and walked it in order with a strict comparison; the
-// first strictly-smallest score along that ascending (CT, index) walk
-// is exactly the lexicographic minimum of (score, CT, index) over the
-// candidate set, so the scan below — membership by two comparisons
-// against the threshold machine, winner by lexicographic key — selects
-// the bit-identical move without building the list.
+// load sorts the machines and buckets s's assigned tasks by machine.
+// Each of the iters iterations moves at most one task, so bucket m gets
+// room for count[m]+iters entries (never more than all tasks) and an
+// insert cannot overflow into the next bucket.
+func (ws *h2llScratch) load(s *schedule.Schedule, iters int) {
+	m, t := s.Inst.M, len(s.S)
+	ws.order = s.MachinesByCompletion(ws.order)
+	n := 2*m + min(t+m*min(iters, t), m*t)
+	if cap(ws.plane) < n {
+		ws.plane = make([]int32, n)
+	}
+	ws.start, ws.count, ws.tasks = ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:n]
+	clear(ws.count)
+	for _, mac := range s.S {
+		if mac != schedule.Unassigned {
+			ws.count[mac]++
+		}
+	}
+	next := int32(0)
+	for mac, c := range ws.count {
+		ws.start[mac] = next
+		next += int32(min(int(c)+iters, t))
+	}
+	clear(ws.count)
+	for task, mac := range s.S {
+		if mac != schedule.Unassigned {
+			ws.tasks[ws.start[mac]+ws.count[mac]] = int32(task)
+			ws.count[mac]++
+		}
+	}
+}
+
+// bucket returns machine m's tasks in ascending order.
+func (ws *h2llScratch) bucket(m int) []int32 {
+	return ws.tasks[ws.start[m] : ws.start[m]+ws.count[m]]
+}
+
+// move mirrors s.Move(task, to) for the task at index i of machine
+// from's bucket: it deletes the task there, inserts it in order into
+// machine to's bucket, and restores the (CT, index) machine order by one
+// insertion pass — O(M) plus the two displacements, since only from's
+// and to's completion times changed.
+func (ws *h2llScratch) move(s *schedule.Schedule, i, from, to int) {
+	b := ws.bucket(from)
+	task := b[i]
+	copy(b[i:], b[i+1:])
+	ws.count[from]--
+	b = ws.tasks[ws.start[to] : ws.start[to]+ws.count[to]+1]
+	j := len(b) - 1
+	for ; j > 0 && b[j-1] > task; j-- {
+		b[j] = b[j-1]
+	}
+	b[j] = task
+	ws.count[to]++
+
+	ct, order := s.CT, ws.order
+	for i := 1; i < len(order); i++ {
+		mac := order[i]
+		j := i
+		for ; j > 0 && (ct[mac] < ct[order[j-1]] || ct[mac] == ct[order[j-1]] && mac < order[j-1]); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = mac
+	}
+}
+
+// Apply implements LocalSearch. The O(tasks) and O(M log M) work happens
+// once per call: load buckets the tasks by machine and sorts the
+// machines by (CT, index). Each iteration then reads the makespan
+// machine in O(1) from the schedule's max index, draws its task by the
+// reservoir of Schedule.RandomTaskOn run over that machine's bucket (the
+// same draws and the same winner as the full scan, since the bucket is
+// in ascending task order), and walks the Candidates least-loaded
+// machines in ascending (CT, index) order, keeping the first strictly
+// smallest new completion time. A move updates the buckets and the
+// order incrementally, so an iteration costs O(tasks on the makespan
+// machine + M).
 func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -398,40 +472,38 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	}
 	ws := h2llPool.Get().(*h2llScratch)
 	defer h2llPool.Put(ws)
+	ws.load(s, h.Iterations)
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
 		worst, worstCT := s.MakespanMachine()
-		task := s.RandomTaskOn(worst, r)
-		if task < 0 {
+		tasks := ws.bucket(worst)
+		if len(tasks) == 0 {
 			// The makespan machine holds no task (all load is ready
 			// time); nothing can move, and further iterations would pick
 			// the same machine.
 			break
 		}
-		// thr is the first machine EXCLUDED from the least-loaded set:
-		// a machine is a candidate iff machineLess(mac, thr), i.e. its
-		// (CT, index) key is below the threshold's.
-		thr := ws.sc.LoadRank(s, ncand)
-		thrCT := s.CT[thr]
-		scores := ws.sc.MoveScores(s, task)
+		pick := 0
+		for i := range tasks {
+			if r.Intn(i+1) == 0 {
+				pick = i
+			}
+		}
+		task := int(tasks[pick])
+		costs := s.Inst.TaskCosts(task)
+		// A candidate can tie-collide with the makespan machine itself;
+		// the strict < against worstCT (ETC is positive) keeps self-moves
+		// impossible.
 		bestScore := worstCT
 		bestMac := -1
-		bestCT := 0.0
-		for mac, ct := range s.CT {
-			if ct > thrCT || (ct == thrCT && mac >= thr) {
-				continue // not among the ncand least loaded
-			}
-			// A candidate can tie-collide with the makespan machine
-			// itself; the strict < against worstCT (ETC is positive)
-			// keeps self-moves impossible.
-			newScore := scores[mac]
-			if newScore < bestScore ||
-				(newScore == bestScore && bestMac >= 0 && ct < bestCT) {
-				bestScore, bestMac, bestCT = newScore, mac, ct
+		for _, mac := range ws.order[:ncand] {
+			if score := s.CT[mac] + costs[mac]; score < bestScore {
+				bestScore, bestMac = score, mac
 			}
 		}
 		if bestMac >= 0 {
 			s.Move(task, bestMac)
+			ws.move(s, pick, worst, bestMac)
 			moves++
 		}
 	}

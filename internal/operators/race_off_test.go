@@ -1,7 +1,7 @@
 //go:build !race
 
-package experiments
+package operators
 
 // raceEnabled reports whether the race detector instruments this test
-// binary; timing-sensitive assertions consult it.
+// binary; allocation pins consult it.
 const raceEnabled = false

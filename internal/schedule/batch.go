@@ -92,7 +92,7 @@ func BatchLoad(ss []*Schedule) {
 // would reach if the task were moved (or assigned) there. One
 // contiguous sweep over the task's cost row replaces M strided
 // per-element ETC reads — this is the batched neighborhood kernel
-// behind tabu and H2LL candidate scoring. Callers that must exclude a
+// behind tabu's candidate scoring. Callers that must exclude a
 // machine (the source, or a tabu destination) skip it while consuming
 // the scores, which keeps the kernel branch-free.
 //

@@ -193,29 +193,3 @@ func TestMoveScoresMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadRankMatchesLeastLoaded checks the quickselect against the
-// heap-selection reference across every rank, on completion-time
-// vectors engineered to contain ties (the machineLess index tie-break
-// must agree too).
-func TestLoadRankMatchesLeastLoaded(t *testing.T) {
-	var sc Scratch
-	for _, sh := range batchTestShapes {
-		in := batchTestInstance(t, sh.tasks, sh.machines, uint64(53*sh.tasks+sh.machines))
-		r := rng.New(uint64(4000*sh.tasks + sh.machines))
-		s := New(in)
-		// Assign tasks to a handful of machines only, so many machines
-		// share the exact ready-time completion and ranks tie on index.
-		for task := 0; task < in.T; task++ {
-			if r.Bool(0.7) {
-				s.Assign(task, r.Intn(in.M))
-			}
-		}
-		full := s.LeastLoaded(nil, in.M)
-		for k := 0; k < in.M; k++ {
-			if got := sc.LoadRank(s, k); got != full[k] {
-				t.Fatalf("%dx%d: LoadRank(%d) = %d, want %d", sh.tasks, sh.machines, k, got, full[k])
-			}
-		}
-	}
-}

@@ -385,7 +385,6 @@ type Scratch struct {
 	batchLo []float64
 	batchMk []float64
 	moveBuf []float64
-	rankBuf []int
 }
 
 // Ints returns a length-n int buffer backed by the arena (contents
@@ -738,9 +737,8 @@ func (s *Schedule) MachinesByCompletion(dst []int) []int {
 // LeastLoaded writes into dst the n machines with the smallest
 // completion times, ascending (ties by index), and returns it. It is
 // the partial-selection companion to MachinesByCompletion for callers
-// (H2LL) that only need the least-loaded candidate set: O(M·log n)
-// against the full sort's O(M·log M), allocation-free when dst has
-// capacity n.
+// that only need a least-loaded candidate set: O(M·log n) against the
+// full sort's O(M·log M), allocation-free when dst has capacity n.
 func (s *Schedule) LeastLoaded(dst []int, n int) []int {
 	m := len(s.CT)
 	if n > m {
@@ -775,55 +773,6 @@ func (s *Schedule) LeastLoaded(dst []int, n int) []int {
 	}
 	s.sortMachines(dst)
 	return dst
-}
-
-// LoadRank returns the machine of rank k (0-indexed) in the machineLess
-// order — exactly the machine LeastLoaded(nil, k+1)[k] reports, found by
-// quickselect in O(M) expected time instead of the heap's O(M·log k).
-// Because machineLess is a total order, the rank-k machine is unique and
-// the k least-loaded machines are exactly those with machineLess(m,
-// LoadRank(k)): callers (H2LL's candidate scan) can test membership in
-// the least-loaded set with two flat comparisons per machine instead of
-// materializing the sorted candidate list. k must be in [0, M).
-func (sc *Scratch) LoadRank(s *Schedule, k int) int {
-	m := len(s.CT)
-	if k < 0 || k >= m {
-		panic(fmt.Sprintf("schedule: LoadRank %d outside [0, %d)", k, m))
-	}
-	if cap(sc.rankBuf) < m {
-		sc.rankBuf = make([]int, m)
-	}
-	idx := sc.rankBuf[:m]
-	for i := range idx {
-		idx[i] = i
-	}
-	lo, hi := 0, m-1
-	for lo < hi {
-		p := idx[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for s.machineLess(idx[i], p) {
-				i++
-			}
-			for s.machineLess(p, idx[j]) {
-				j--
-			}
-			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return idx[k]
-		}
-	}
-	return idx[k]
 }
 
 // Utilization is the fraction of machine time spent computing between
