@@ -18,9 +18,8 @@ import (
 // averages every block's mean at its own generation g, weighted by
 // block size (falling back to a block's final value once that worker
 // has stopped), and Diversity is sampled over the whole population by
-// the first worker at its generation boundaries, its final point after
-// all workers have joined (per-block diversity would under-report:
-// blocks deliberately niche into different search-space regions).
+// the first worker (per-block diversity would under-report: blocks
+// deliberately niche into different search-space regions).
 type Result = solver.Result
 
 // Solve implements solver.Solver: it executes PA-CGA (Algorithms 2–3)
@@ -106,14 +105,7 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 		res.Convergence = aggregateSeries(workers, blocks, func(w *worker) []float64 { return w.conv })
 	}
 	if p.RecordDiversity {
-		// Worker 0 sampled at its own generation boundaries, while the
-		// other blocks were still mid-sweep; the final point is taken
-		// here instead, once every block has finished, so it does not
-		// depend on how the workers were scheduled.
-		res.Diversity = workers[0].div
-		if n := len(res.Diversity); n > 0 {
-			_, res.Diversity[n-1] = pop.blockDiversity(0, pop.size(), workers[0].divCount)
-		}
+		res.Diversity = append([]float64(nil), workers[0].div...)
 	}
 	return res, nil
 }

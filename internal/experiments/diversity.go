@@ -27,10 +27,8 @@ type DiversitySeries struct {
 // generation budget:
 //
 //   - "cellular" — the asynchronous cellular GA (PA-CGA with one thread);
-//   - "cellular-3t" — PA-CGA with the paper's 3 threads, to measure
-//     what the block partition does to the effect (its final point is
-//     taken after all workers finish; the earlier ones depend on how
-//     the workers were scheduled);
+//   - "cellular-3t" — PA-CGA with the paper's 3 threads, to show the
+//     block partition does not destroy the effect;
 //   - "panmictic" — the generational GA, where anyone mates with anyone.
 //
 // To isolate *population structure*, everything else is equalized: no
