@@ -348,9 +348,7 @@ func (isl *island) receiveMigrants() {
 				}
 			}
 			if m.fitness < isl.fit[worst] {
-				for t, mac := range m.assign {
-					isl.pop[worst].SetAssignment(t, mac)
-				}
+				isl.pop[worst].SetRange(0, m.assign)
 				isl.fit[worst] = m.fitness
 			}
 		default:

@@ -14,9 +14,9 @@ import (
 // reservoir over the whole assignment vector (RandomTaskOn), builds the
 // sorted least-loaded candidate list with the heap-based LeastLoaded and
 // walks it in order with per-element strict comparisons. The production
-// Apply buckets the tasks and sorts the machines once per call and
-// maintains both across moves; this reference pins the required
-// bit-identical behavior.
+// Apply links the tasks into per-machine lists and sorts the machines
+// once per call and maintains both across moves; this reference pins
+// the required bit-identical behavior.
 func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -90,7 +90,7 @@ func h2llMatchesReference(t *testing.T, h H2LL, s *schedule.Schedule, seed uint6
 // against the scalar reference over instance geometries covering tiny
 // machine counts, candidate-set clamping, the default Candidates =
 // machines/2, the paper's 512×16 and a wide 1024×256 shape, plus the
-// edge cases of the bucketed task draw: partial schedules, a makespan
+// edge cases of the linked-list task draw: partial schedules, a makespan
 // machine that holds no task, and more iterations than the makespan
 // machine has tasks.
 func TestH2LLApplyMatchesReference(t *testing.T) {
@@ -125,7 +125,7 @@ func TestH2LLApplyMatchesReference(t *testing.T) {
 
 	// Machine 0 holds no task and its ready time sits below the initial
 	// makespan: H2LL drains the loaded machines until machine 0 defines
-	// the makespan, then must stop early at the empty bucket. With the
+	// the makespan, then must stop early at the empty list. With the
 	// ready time above the makespan it stops at the first iteration.
 	for _, frac := range []float64{0.9, 2} {
 		t.Run(fmt.Sprintf("empty-makespan-machine-%g", frac), func(t *testing.T) {
@@ -157,7 +157,7 @@ func TestH2LLApplyMatchesReference(t *testing.T) {
 	}
 
 	// 40 tasks over 10 machines: 200 iterations far exceed any machine's
-	// task count, so buckets drain and refill repeatedly.
+	// task count, so task lists drain and refill repeatedly.
 	t.Run("iterations-exceed-tasks", func(t *testing.T) {
 		in := testInstance(t, 40, 10, 290)
 		s := schedule.NewRandom(in, rng.New(17))

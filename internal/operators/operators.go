@@ -121,7 +121,8 @@ type Crossover interface {
 // OnePoint is the opx operator: the child takes p1's assignments before a
 // random cut point and p2's from the cut point on. CT is repaired
 // incrementally: starting from a copy of p1, only the suffix genes that
-// differ cause O(1) updates.
+// differ cause compensated updates, and Schedule.SetRange rebuilds the
+// makespan index once for the whole suffix.
 type OnePoint struct{}
 
 // Name implements Crossover.
@@ -135,13 +136,12 @@ func (OnePoint) Cross(child, p1, p2 *schedule.Schedule, r *rng.Rand) {
 		return
 	}
 	cut := 1 + r.Intn(n-1) // cut in [1, n-1]: both parents contribute
-	for t := cut; t < n; t++ {
-		child.SetAssignment(t, p2.S[t])
-	}
+	child.SetRange(cut, p2.S[cut:])
 }
 
 // TwoPoint is the tpx operator: the child takes p2's assignments inside a
-// random window [a, b) and p1's elsewhere.
+// random window [a, b) and p1's elsewhere, copied by one
+// Schedule.SetRange like OnePoint's suffix.
 type TwoPoint struct{}
 
 // Name implements Crossover.
@@ -166,13 +166,12 @@ func (TwoPoint) Cross(child, p1, p2 *schedule.Schedule, r *rng.Rand) {
 			a--
 		}
 	}
-	for t := a; t < b; t++ {
-		child.SetAssignment(t, p2.S[t])
-	}
+	child.SetRange(a, p2.S[a:b])
 }
 
 // Uniform takes each gene from either parent with probability ½; kept
-// for operator studies beyond the paper's opx/tpx pair.
+// for operator studies beyond the paper's opx/tpx pair. Its genes are
+// not contiguous, so it updates them one SetAssignment at a time.
 type Uniform struct{}
 
 // Name implements Crossover.
@@ -360,78 +359,69 @@ type H2LL struct {
 func (h H2LL) Name() string { return fmt.Sprintf("h2ll/%d", h.Iterations) }
 
 // h2llScratch is the pooled per-call state of H2LL.Apply: the machine
-// order and the per-machine task buckets that let each iteration skip
-// the O(tasks) scan of the assignment vector and the re-ranking of the
-// machines. Pooling keeps Apply — called once per offspring on every
-// worker — off the allocator: after warm-up at a shape it allocates
-// nothing.
+// order and one linked task list per machine, which let each iteration
+// skip the O(tasks) scan of the assignment vector and the re-ranking of
+// the machines. Pooling keeps Apply — called once per offspring on
+// every worker — off the allocator: after warm-up at a shape it
+// allocates nothing.
 type h2llScratch struct {
 	// order holds the machines in ascending (CT, index) order; the
 	// candidate set is its prefix.
 	order []int
-	// plane backs start, count and tasks in one allocation. tasks holds
-	// the task buckets: machine m's tasks, in ascending order, are
-	// tasks[start[m] : start[m]+count[m]].
-	plane               []int32
-	start, count, tasks []int32
+	// plane backs head and next in one allocation of machines+tasks
+	// entries. Machine m's tasks, in ascending order, are head[m],
+	// next[head[m]], …, up to a -1; next of an unassigned task is
+	// unused.
+	plane      []int32
+	head, next []int32
 }
 
 var h2llPool = sync.Pool{New: func() any { return new(h2llScratch) }}
 
-// load sorts the machines and buckets s's assigned tasks by machine.
-// Each of the iters iterations moves at most one task, so bucket m gets
-// room for count[m]+iters entries (never more than all tasks) and an
-// insert cannot overflow into the next bucket.
-func (ws *h2llScratch) load(s *schedule.Schedule, iters int) {
+// load sorts the machines and links s's assigned tasks into their
+// machines' lists in one descending pass over S, so every list comes
+// out in ascending task order.
+func (ws *h2llScratch) load(s *schedule.Schedule) {
 	m, t := s.Inst.M, len(s.S)
 	ws.order = s.MachinesByCompletion(ws.order)
-	n := 2*m + min(t+m*min(iters, t), m*t)
-	if cap(ws.plane) < n {
-		ws.plane = make([]int32, n)
+	if cap(ws.plane) < m+t {
+		ws.plane = make([]int32, m+t)
 	}
-	ws.start, ws.count, ws.tasks = ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:n]
-	clear(ws.count)
-	for _, mac := range s.S {
-		if mac != schedule.Unassigned {
-			ws.count[mac]++
-		}
+	ws.head, ws.next = ws.plane[:m], ws.plane[m:m+t]
+	for i := range ws.head {
+		ws.head[i] = -1
 	}
-	next := int32(0)
-	for mac, c := range ws.count {
-		ws.start[mac] = next
-		next += int32(min(int(c)+iters, t))
-	}
-	clear(ws.count)
-	for task, mac := range s.S {
-		if mac != schedule.Unassigned {
-			ws.tasks[ws.start[mac]+ws.count[mac]] = int32(task)
-			ws.count[mac]++
+	for task := t - 1; task >= 0; task-- {
+		if mac := s.S[task]; mac != schedule.Unassigned {
+			ws.next[task] = ws.head[mac]
+			ws.head[mac] = int32(task)
 		}
 	}
 }
 
-// bucket returns machine m's tasks in ascending order.
-func (ws *h2llScratch) bucket(m int) []int32 {
-	return ws.tasks[ws.start[m] : ws.start[m]+ws.count[m]]
-}
-
-// move mirrors s.Move(task, to) for the task at index i of machine
-// from's bucket: it deletes the task there, inserts it in order into
-// machine to's bucket, and restores the (CT, index) machine order by one
-// insertion pass — O(M) plus the two displacements, since only from's
-// and to's completion times changed.
-func (ws *h2llScratch) move(s *schedule.Schedule, i, from, to int) {
-	b := ws.bucket(from)
-	task := b[i]
-	copy(b[i:], b[i+1:])
-	ws.count[from]--
-	b = ws.tasks[ws.start[to] : ws.start[to]+ws.count[to]+1]
-	j := len(b) - 1
-	for ; j > 0 && b[j-1] > task; j-- {
-		b[j] = b[j-1]
+// move mirrors s.Move(task, to) for a task of machine from's list whose
+// predecessor there is prev (-1 for the head): it unlinks the task,
+// links it in ascending position into machine to's list, and restores
+// the (CT, index) machine order by one insertion pass — O(M) plus the
+// walk of to's list, since only from's and to's completion times
+// changed.
+func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to int) {
+	head, next := ws.head, ws.next
+	if prev < 0 {
+		head[from] = next[task]
+	} else {
+		next[prev] = next[task]
 	}
-	b[j] = task
-	ws.count[to]++
+	p, q := int32(-1), head[to]
+	for q >= 0 && q < task {
+		p, q = q, next[q]
+	}
+	next[task] = q
+	if p < 0 {
+		head[to] = task
+	} else {
+		next[p] = task
+	}
 
 	ct, order := s.CT, ws.order
 	for i := 1; i < len(order); i++ {
@@ -445,16 +435,16 @@ func (ws *h2llScratch) move(s *schedule.Schedule, i, from, to int) {
 }
 
 // Apply implements LocalSearch. The O(tasks) and O(M log M) work happens
-// once per call: load buckets the tasks by machine and sorts the
-// machines by (CT, index). Each iteration then reads the makespan
+// once per call: load links the tasks into per-machine lists and sorts
+// the machines by (CT, index). Each iteration then reads the makespan
 // machine in O(1) from the schedule's max index, draws its task by the
-// reservoir of Schedule.RandomTaskOn run over that machine's bucket (the
-// same draws and the same winner as the full scan, since the bucket is
-// in ascending task order), and walks the Candidates least-loaded
-// machines in ascending (CT, index) order, keeping the first strictly
-// smallest new completion time. A move updates the buckets and the
-// order incrementally, so an iteration costs O(tasks on the makespan
-// machine + M).
+// reservoir of Schedule.RandomTaskOn run over that machine's ascending
+// task list (the same draws and the same winner as the full scan), and
+// walks the Candidates least-loaded machines in ascending (CT, index)
+// order, keeping the first strictly smallest new completion time. A
+// move relinks the task and updates the order incrementally, so an
+// iteration costs O(tasks on the makespan machine and the destination
+// + M).
 func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -472,25 +462,24 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	}
 	ws := h2llPool.Get().(*h2llScratch)
 	defer h2llPool.Put(ws)
-	ws.load(s, h.Iterations)
+	ws.load(s)
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
 		worst, worstCT := s.MakespanMachine()
-		tasks := ws.bucket(worst)
-		if len(tasks) == 0 {
+		first := ws.head[worst]
+		if first < 0 {
 			// The makespan machine holds no task (all load is ready
 			// time); nothing can move, and further iterations would pick
 			// the same machine.
 			break
 		}
-		pick := 0
-		for i := range tasks {
+		task, prev := first, int32(-1)
+		for i, p, cur := 0, int32(-1), first; cur >= 0; i, p, cur = i+1, cur, ws.next[cur] {
 			if r.Intn(i+1) == 0 {
-				pick = i
+				task, prev = cur, p
 			}
 		}
-		task := int(tasks[pick])
-		costs := s.Inst.TaskCosts(task)
+		costs := s.Inst.TaskCosts(int(task))
 		// A candidate can tie-collide with the makespan machine itself;
 		// the strict < against worstCT (ETC is positive) keeps self-moves
 		// impossible.
@@ -502,8 +491,8 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 			}
 		}
 		if bestMac >= 0 {
-			s.Move(task, bestMac)
-			ws.move(s, pick, worst, bestMac)
+			s.Move(int(task), bestMac)
+			ws.move(s, prev, task, worst, bestMac)
 			moves++
 		}
 	}

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,7 +58,8 @@ func bitsEqual(a, b float64) bool {
 
 // requireSameState fails unless the two schedules agree bit-for-bit on
 // every piece of state that influences future trajectories: assignment,
-// completion-time heads AND compensation tails, and the max index.
+// completion-time heads AND compensation tails, every tournament node,
+// and the max index.
 func requireSameState(t *testing.T, want, got *Schedule, label string) {
 	t.Helper()
 	for i, m := range want.S {
@@ -73,6 +75,11 @@ func requireSameState(t *testing.T, want, got *Schedule, label string) {
 		if !bitsEqual(want.ctLo[m], got.ctLo[m]) {
 			t.Fatalf("%s: ctLo[%d] = %x, want %x", label, m,
 				math.Float64bits(got.ctLo[m]), math.Float64bits(want.ctLo[m]))
+		}
+	}
+	for i, w := range want.tree {
+		if got.tree[i] != w {
+			t.Fatalf("%s: tree[%d] = %d, want %d", label, i, got.tree[i], w)
 		}
 	}
 	wm, wct := want.MakespanMachine()
@@ -117,6 +124,64 @@ func TestSetAssignmentsMatchesSequentialAssign(t *testing.T) {
 				bulk.Move(task, m)
 			}
 			requireSameState(t, ref, bulk, "after shared moves")
+		}
+	}
+}
+
+// TestSetRangeMatchesSetAssignmentLoop is SetRange's equivalence
+// property: overwriting a window of genes must leave the bit-identical
+// state of a per-gene SetAssignment loop over the same window in
+// ascending order. Each trial chains several windows on one schedule so
+// the compensation tails compound, over random sources, near-identical
+// sources (a few genes differ, so most of the window is a no-op) and
+// identical ones (nothing changes), with Unassigned entries on both
+// sides and empty, single-gene, full and random windows.
+func TestSetRangeMatchesSetAssignmentLoop(t *testing.T) {
+	for _, sh := range batchTestShapes {
+		in := batchTestInstance(t, sh.tasks, sh.machines, uint64(43*sh.tasks+sh.machines))
+		r := rng.New(uint64(2000*sh.tasks + sh.machines))
+		for trial := 0; trial < 12; trial++ {
+			ref := New(in)
+			if trial > 0 { // trial 0 starts from the empty schedule
+				if err := ref.SetAssignments(randomAssignment(in, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := ref.Clone()
+			for round := 0; round < 6; round++ {
+				src := randomAssignment(in, r)
+				switch trial % 3 {
+				case 1:
+					copy(src, ref.S)
+					for k := 0; k < 3; k++ {
+						src[r.Intn(in.T)] = r.Intn(in.M+1) - 1
+					}
+				case 2:
+					copy(src, ref.S)
+				}
+				var start, end int
+				switch round {
+				case 0: // empty
+					start = r.Intn(in.T + 1)
+					end = start
+				case 1: // single gene
+					start = r.Intn(in.T)
+					end = start + 1
+				case 2: // full
+					start, end = 0, in.T
+				default:
+					start, end = r.Intn(in.T+1), r.Intn(in.T+1)
+					if start > end {
+						start, end = end, start
+					}
+				}
+				for task := start; task < end; task++ {
+					ref.SetAssignment(task, src[task])
+				}
+				got.SetRange(start, src[start:end])
+				requireSameState(t, ref, got, fmt.Sprintf("%dx%d trial %d round %d [%d,%d)",
+					sh.tasks, sh.machines, trial, round, start, end))
+			}
 		}
 	}
 }

@@ -335,6 +335,39 @@ func (s *Schedule) SetAssignment(t, m int) {
 	s.Move(t, m)
 }
 
+// SetRange overwrites the assignments of tasks start, start+1, … with
+// assign (entries may be Unassigned). The completion times receive
+// exactly SetAssignment's compensated updates in the same ascending
+// order — the old machine's removal, then the new machine's addition —
+// but the max index is rebuilt once at the end, in O(machines), instead
+// of being repaired per gene. The tournament tree is a pure function of
+// CT (every node is maxOf its children, which fixup maintains after
+// each update), so the result is bit-identical to a per-gene
+// SetAssignment loop. This is the crossover path, where a window of
+// differing genes would otherwise pay two tree repairs each.
+func (s *Schedule) SetRange(start int, assign []int) {
+	dst := s.S[start : start+len(assign)]
+	changed := false
+	for i, to := range assign {
+		from := dst[i]
+		if from == to {
+			continue
+		}
+		tc := s.Inst.TaskCosts(start + i)
+		if from != Unassigned {
+			s.accumulate(from, -tc[from])
+		}
+		if to != Unassigned {
+			s.accumulate(to, tc[to])
+		}
+		dst[i] = to
+		changed = true
+	}
+	if changed {
+		s.rebuildTree()
+	}
+}
+
 // Complete reports whether every task is assigned.
 func (s *Schedule) Complete() bool {
 	for _, m := range s.S {
