@@ -198,51 +198,6 @@ func BenchmarkFig6Convergence(b *testing.B) {
 	}
 }
 
-// --- Ablation 1 (§3.3): transposed vs row-major ETC layout ---
-
-// The paper stores the transposed ETC so that summing a machine's tasks
-// walks memory sequentially. These two benches run the same
-// completion-time recomputation through each layout.
-func BenchmarkETCLayoutTransposed(b *testing.B) {
-	in := benchInstance(b, "u_c_hihi.0")
-	s := schedule.NewRandom(in, rng.New(1))
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for m := 0; m < in.M; m++ {
-			acc := 0.0
-			for t := 0; t < in.T; t++ {
-				if s.S[t] == m {
-					acc += in.ETC(t, m) // Col[m*T+t]: sequential in t
-				}
-			}
-			sink += acc
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkETCLayoutRowMajor is the counterpart using the row-major
-// layout (strided access in the same loop shape).
-func BenchmarkETCLayoutRowMajor(b *testing.B) {
-	in := benchInstance(b, "u_c_hihi.0")
-	s := schedule.NewRandom(in, rng.New(1))
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for m := 0; m < in.M; m++ {
-			acc := 0.0
-			for t := 0; t < in.T; t++ {
-				if s.S[t] == m {
-					acc += in.ETCRow(t, m) // Row[t*M+m]: stride M in t
-				}
-			}
-			sink += acc
-		}
-	}
-	_ = sink
-}
-
 // --- Ablation 2: locking strategy ---
 
 // BenchmarkLockingStrategy compares the paper's per-individual RW locks

@@ -1,13 +1,13 @@
 // Whole-solver throughput benchmarks: the benchguard-held numbers that
-// keep the machine-major / batched-evaluation layout win from
-// regressing. Each sub-benchmark runs one registered solver family at a
+// keep the incremental and batched evaluation engine from regressing. Each sub-benchmark runs one registered solver family at a
 // fixed evaluation budget, so ns/op is inversely proportional to
 // evals/sec — benchguard holds ns/op, and the evals/s metric makes the
 // throughput readable directly in bench output.
 //
 // Two shapes are measured per family: the paper's benchmark dimensions
-// (512×16) and the large-instance shape (8192×256) where the machine-
-// major sweeps and row-contiguous move scoring dominate the run time.
+// (512×16) and the large-instance shape (8192×256) where the task-
+// ordered bulk loads and row-contiguous move scoring dominate the run
+// time.
 package gridsched
 
 import (

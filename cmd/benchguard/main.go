@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^Benchmark(IncrementalEval|FullRecomputeEval|EngineObserver|ETCLayout|H2LLCandidates|Makespan|Move|Portfolio|SolverThroughput|ServiceThroughput)' . | go run ./cmd/benchguard
+//	go test -run '^$' -bench '^Benchmark(IncrementalEval|FullRecomputeEval|EngineObserver|H2LLCandidates|Makespan|Move|Portfolio|SolverThroughput|ServiceThroughput)' . | go run ./cmd/benchguard
 //	go run ./cmd/benchguard -baseline BENCH_baseline.json bench.txt
 //	go test -run '^$' -bench '...' . | go run ./cmd/benchguard -update
 //	go test -run '^$' -bench '...' -benchtime 1x . | go run ./cmd/benchguard -names-only
@@ -149,7 +149,7 @@ func compareNames(base benchcmp.Baseline, current map[string]float64) bool {
 // preserving an existing file's threshold and note unless overridden.
 func updateBaseline(path string, threshold float64, current map[string]float64) {
 	base := benchcmp.Baseline{
-		Note:      "Absolute ns/op from the machine that last ran -update; regenerate from CI-representative hardware with: go test -run '^$' -bench '^Benchmark(IncrementalEval|FullRecomputeEval|EngineObserver|ETCLayout|H2LLCandidates|Makespan|Move|Portfolio|SolverThroughput|ServiceThroughput)' -benchtime 0.2s -count 3 . | go run ./cmd/benchguard -update",
+		Note:      "Absolute ns/op from the machine that last ran -update; regenerate from CI-representative hardware with: go test -run '^$' -bench '^Benchmark(IncrementalEval|FullRecomputeEval|EngineObserver|H2LLCandidates|Makespan|Move|Portfolio|SolverThroughput|ServiceThroughput)' -benchtime 0.2s -count 3 . | go run ./cmd/benchguard -update",
 		Threshold: 0.25,
 		FloorNs:   benchcmp.DefaultFloorNs,
 	}

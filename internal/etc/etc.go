@@ -6,10 +6,8 @@
 //
 // The package provides
 //
-//   - the Instance type holding the matrix in both row-major (task-major)
-//     and transposed (machine-major) layouts — the paper stores the
-//     transposed matrix to raise the cache hit rate of completion-time
-//     updates (§3.3), and we keep both so the claim can be benchmarked;
+//   - the Instance type holding the matrix in task-major order, with a
+//     slice accessor for one task's costs on every machine;
 //   - the Braun/Ali benchmark instance generator (uniform range-based
 //     method with task heterogeneity, machine heterogeneity and the
 //     consistent / semi-consistent / inconsistent matrix classes);
@@ -243,98 +241,49 @@ func ParseSizedName(name string) (cl Class, tasks, machines int, err error) {
 
 // Instance is an immutable scheduling instance under the ETC model.
 //
-// The matrix is stored twice: Row holds ETC[t][m] in task-major order
-// (Row[t*M+m]) and Col holds the transposed machine-major layout
-// (Col[m*T+t]). The paper's evaluation loop walks tasks for a fixed
-// machine, so the transposed layout is the hot one; both are retained so
-// the cache-locality ablation benchmark can compare them.
+// The matrix is stored once, task-major: Row[t*M+m] is ETC[t][m], so
+// one task's costs on every machine are contiguous. The paper (§3.3)
+// stores the transpose because its evaluation loop sums the tasks of
+// one machine; this engine never sweeps that way. It moves completion
+// times incrementally per task and bulk-loads them in one task-ordered
+// pass, so every hot reader walks the machines of a fixed task.
 type Instance struct {
 	Name     string
 	T        int // number of tasks
 	M        int // number of machines
 	Row      []float64
-	Col      []float64
 	Ready    []float64 // per-machine ready times (§2.2); zero by default
 	ClassTag Class     // zero value when the instance was not generated
 }
 
-// ETC returns the expected time to compute task t on machine m using the
-// transposed (cache-friendly) layout.
-func (in *Instance) ETC(t, m int) float64 { return in.Col[m*in.T+t] }
-
-// ETCRow returns the same value through the row-major layout; used by the
-// layout ablation benchmark and by algorithms that sweep machines for a
-// fixed task.
-func (in *Instance) ETCRow(t, m int) float64 { return in.Row[t*in.M+m] }
+// ETC returns the expected time to compute task t on machine m.
+func (in *Instance) ETC(t, m int) float64 { return in.Row[t*in.M+m] }
 
 // TaskCosts returns the costs of task t on every machine — contiguous
-// in m over the row layout (Row[t*M : (t+1)*M]). Hot loops that sweep
-// machines for a fixed task (move scoring, best-completion scans) must
-// read through this slice instead of per-element ETC calls: the ETC
-// accessor walks the transposed layout with stride T, which is one
-// cache miss per machine on large instances, while this slice is one
-// sequential sweep. The slice aliases the instance storage and must not
-// be modified.
+// in m (Row[t*M : (t+1)*M]). Hot loops that sweep machines for a fixed
+// task (move scoring, best-completion scans) must read through this
+// slice instead of per-element ETC calls: one slice bounds check then
+// covers the whole sweep, where ETC recomputes the index and checks it
+// per machine. The slice aliases the instance storage and must not be
+// modified.
 func (in *Instance) TaskCosts(t int) []float64 { return in.Row[t*in.M : (t+1)*in.M] }
 
-// MachineCosts returns the costs of every task on machine m —
-// contiguous in t over the transposed layout (Col[m*T : (m+1)*T]), the
-// paper's §3.3 machine-major sweep. Hot loops that walk tasks for a
-// fixed machine (completion-time sweeps, backlog estimates) read
-// through this slice. The slice aliases the instance storage and must
-// not be modified.
-func (in *Instance) MachineCosts(m int) []float64 { return in.Col[m*in.T : (m+1)*in.T] }
-
-// TaskBlock is the tile width, in tasks, of the blocked machine-major
-// view: 1024 tasks keep one machine's cost block (8 KB) plus the same
-// block of an assignment vector (8 KB) resident in L1 together with the
-// per-machine completion-time lanes, so a blocked sweep re-reads the
-// assignment block from cache across all M machine passes.
-const TaskBlock = 1024
-
-// MachineCostsBlock returns machine m's costs for tasks [lo, hi) — the
-// blocked machine-major view for large T. Sweeping machines over one
-// task block at a time (instead of each machine's full T-length column)
-// keeps the block-shared state cache-resident across the M inner
-// sweeps; see schedule's bulk-load and batch-evaluation kernels for the
-// canonical loop shape. The slice aliases the instance storage and must
-// not be modified.
-func (in *Instance) MachineCostsBlock(m, lo, hi int) []float64 {
-	return in.Col[m*in.T+lo : m*in.T+hi]
-}
-
-// MachineRow is MachineCosts under its historical name.
-//
-// Deprecated: use MachineCosts.
-func (in *Instance) MachineRow(m int) []float64 { return in.MachineCosts(m) }
-
-// TaskRow is TaskCosts under its historical name.
-//
-// Deprecated: use TaskCosts.
-func (in *Instance) TaskRow(t int) []float64 { return in.TaskCosts(t) }
-
-// Validate checks structural invariants: positive dimensions, matching
-// buffer sizes, strictly positive finite entries, mutually transposed
-// layouts and non-negative ready times.
+// Validate checks structural invariants: positive dimensions, a matrix
+// of T×M entries, strictly positive finite entries and non-negative
+// ready times.
 func (in *Instance) Validate() error {
 	if in.T <= 0 || in.M <= 0 {
 		return fmt.Errorf("etc: non-positive dimensions %dx%d", in.T, in.M)
 	}
-	if len(in.Row) != in.T*in.M || len(in.Col) != in.T*in.M {
-		return fmt.Errorf("etc: buffer sizes row=%d col=%d, want %d", len(in.Row), len(in.Col), in.T*in.M)
+	if len(in.Row) != in.T*in.M {
+		return fmt.Errorf("etc: matrix has %d entries, want %d", len(in.Row), in.T*in.M)
 	}
 	if len(in.Ready) != in.M {
 		return fmt.Errorf("etc: ready times length %d, want %d", len(in.Ready), in.M)
 	}
-	for t := 0; t < in.T; t++ {
-		for m := 0; m < in.M; m++ {
-			v := in.Row[t*in.M+m]
-			if !(v > 0) || math.IsInf(v, 0) {
-				return fmt.Errorf("etc: ETC[%d][%d] = %v is not a positive finite value", t, m, v)
-			}
-			if v != in.Col[m*in.T+t] {
-				return fmt.Errorf("etc: layouts disagree at (%d,%d): row=%v col=%v", t, m, v, in.Col[m*in.T+t])
-			}
+	for i, v := range in.Row {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("etc: ETC[%d][%d] = %v is not a positive finite value", i/in.M, i%in.M, v)
 		}
 	}
 	for m, r := range in.Ready {
@@ -345,8 +294,8 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// New builds an instance from a row-major matrix; it derives the
-// transposed layout and zero ready times. The row slice is copied.
+// New builds an instance from a row-major matrix with zero ready
+// times. The row slice is copied.
 func New(name string, tasks, machines int, row []float64) (*Instance, error) {
 	if err := checkDims(tasks, machines); err != nil {
 		return nil, err
@@ -359,22 +308,12 @@ func New(name string, tasks, machines int, row []float64) (*Instance, error) {
 		T:     tasks,
 		M:     machines,
 		Row:   append([]float64(nil), row...),
-		Col:   make([]float64, tasks*machines),
 		Ready: make([]float64, machines),
 	}
-	in.rebuildCol()
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	return in, nil
-}
-
-func (in *Instance) rebuildCol() {
-	for t := 0; t < in.T; t++ {
-		for m := 0; m < in.M; m++ {
-			in.Col[m*in.T+t] = in.Row[t*in.M+m]
-		}
-	}
 }
 
 // WithReady returns a shallow copy of the instance carrying the given
@@ -413,38 +352,11 @@ func (in *Instance) MinMaxETC() (lo, hi float64) {
 // correctly regardless of their name.
 func (in *Instance) Blazewicz() string {
 	alpha := "R"
-	if in.isConsistent() {
+	if in.consistentPairs(true) == in.M*(in.M-1)/2 {
 		alpha = "Q"
 	}
 	lo, hi := in.MinMaxETC()
 	return fmt.Sprintf("%s%d|%.2f ≤ pj ≤ %.2f|Cmax", alpha, in.M, lo, hi)
-}
-
-// isConsistent reports whether every machine pair is ordered identically
-// across all tasks (the Braun consistency property), with early exit on
-// the first contradiction. Each pair is compared through the two
-// machines' contiguous cost columns, so the inner loop is two
-// sequential sweeps instead of strided per-element reads.
-func (in *Instance) isConsistent() bool {
-	for a := 0; a < in.M; a++ {
-		ca := in.MachineCosts(a)
-		for b := a + 1; b < in.M; b++ {
-			cb := in.MachineCosts(b)
-			aFaster, bFaster := false, false
-			for t, va := range ca {
-				vb := cb[t]
-				if va < vb {
-					aFaster = true
-				} else if va > vb {
-					bFaster = true
-				}
-				if aFaster && bFaster {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // GenSpec parameterizes the Braun-style generator.

@@ -103,7 +103,7 @@ func TestConsistentRowsSorted(t *testing.T) {
 	}
 	for task := 0; task < in.T; task++ {
 		for m := 1; m < in.M; m++ {
-			if in.ETCRow(task, m-1) > in.ETCRow(task, m) {
+			if in.ETC(task, m-1) > in.ETC(task, m) {
 				t.Fatalf("consistent instance has unsorted row %d at column %d", task, m)
 			}
 		}
@@ -144,7 +144,7 @@ func TestSemiConsistentEvenColumnsSorted(t *testing.T) {
 	for task := 0; task < in.T; task++ {
 		prev := math.Inf(-1)
 		for m := 0; m < in.M; m += 2 {
-			v := in.ETCRow(task, m)
+			v := in.ETC(task, m)
 			if v < prev {
 				t.Fatalf("semi-consistent even columns unsorted in row %d", task)
 			}
@@ -206,35 +206,22 @@ func TestHeterogeneityRanges(t *testing.T) {
 	}
 }
 
-func TestLayoutsAgree(t *testing.T) {
+// TestETCReadsRow pins the accessors to the task-major plane: ETC(t, m)
+// and TaskCosts(t)[m] both read Row[t*M+m].
+func TestETCReadsRow(t *testing.T) {
 	in, err := Generate(GenSpec{Class: Class{Consistency: SemiConsistent, TaskHet: High, MachineHet: High}, Tasks: 20, Machines: 6, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for task := 0; task < in.T; task++ {
+		tc := in.TaskCosts(task)
+		if len(tc) != in.M {
+			t.Fatalf("TaskCosts(%d) length %d, want %d", task, len(tc), in.M)
+		}
 		for m := 0; m < in.M; m++ {
-			if in.ETC(task, m) != in.ETCRow(task, m) {
-				t.Fatalf("layouts disagree at (%d,%d)", task, m)
+			if v := in.Row[task*in.M+m]; in.ETC(task, m) != v || tc[m] != v {
+				t.Fatalf("accessors disagree with Row at (%d,%d)", task, m)
 			}
-		}
-	}
-}
-
-func TestMachineRowAliases(t *testing.T) {
-	in, _ := Generate(GenSpec{Class: Class{Consistency: Inconsistent, TaskHet: Low, MachineHet: Low}, Tasks: 10, Machines: 3, Seed: 9})
-	row := in.MachineRow(2)
-	if len(row) != in.T {
-		t.Fatalf("MachineRow length %d, want %d", len(row), in.T)
-	}
-	for task := 0; task < in.T; task++ {
-		if row[task] != in.ETC(task, 2) {
-			t.Fatalf("MachineRow disagrees at task %d", task)
-		}
-	}
-	tr := in.TaskRow(4)
-	for m := 0; m < in.M; m++ {
-		if tr[m] != in.ETCRow(4, m) {
-			t.Fatalf("TaskRow disagrees at machine %d", m)
 		}
 	}
 }
@@ -268,7 +255,7 @@ func TestReadSizedHeaderless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.ETCRow(0, 0) != 1.5 || in.ETCRow(2, 1) != 6.5 {
+	if in.ETC(0, 0) != 1.5 || in.ETC(2, 1) != 6.5 {
 		t.Fatalf("ReadSized parsed wrong values: %v", in.Row)
 	}
 	if in.ClassTag.Name() != "u_i_lolo.0" {

@@ -165,8 +165,8 @@ func FuzzNewInstance(f *testing.F) {
 		}
 		for tt := 0; tt < in.T; tt++ {
 			for m := 0; m < in.M; m++ {
-				if in.ETC(tt, m) != in.ETCRow(tt, m) {
-					t.Fatalf("layouts disagree at (%d,%d)", tt, m)
+				if in.ETC(tt, m) != in.Row[tt*in.M+m] {
+					t.Fatalf("ETC disagrees with Row at (%d,%d)", tt, m)
 				}
 			}
 		}

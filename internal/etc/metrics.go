@@ -3,6 +3,7 @@ package etc
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Metrics summarizes the statistical character of an ETC matrix: the
@@ -67,41 +68,111 @@ func ComputeMetrics(in *Instance) Metrics {
 	m.TaskHeterogeneity = coefficientOfVariation(taskMeans)
 	m.MachineHeterogeneity = cvSum / float64(in.T)
 
-	// Consistency: fraction of machine pairs ordered identically on
-	// every task, each pair compared through the two machines'
-	// contiguous cost columns (layout-friendly: the scan is two
-	// sequential sweeps instead of stride-T reads).
-	consistentPairs, totalPairs := 0, 0
-	for a := 0; a < in.M; a++ {
-		ca := in.MachineCosts(a)
-		for b := a + 1; b < in.M; b++ {
-			cb := in.MachineCosts(b)
-			totalPairs++
-			aFaster, bFaster := false, false
-			for t, va := range ca {
-				vb := cb[t]
-				if va < vb {
-					aFaster = true
-				} else if va > vb {
-					bFaster = true
-				}
-				if aFaster && bFaster {
-					break
-				}
-			}
-			if !(aFaster && bFaster) {
-				consistentPairs++
-			}
-		}
-	}
-	if totalPairs > 0 {
-		m.ConsistencyIndex = float64(consistentPairs) / float64(totalPairs)
+	if pairs := in.M * (in.M - 1) / 2; pairs > 0 {
+		m.ConsistencyIndex = float64(in.consistentPairs(false)) / float64(pairs)
 	} else {
 		m.ConsistencyIndex = 1
 	}
 
 	m.IdealMakespan = minSum / float64(in.M)
 	return m
+}
+
+// consistentPairs counts the machine pairs (a, b) that every task
+// orders the same way: no task runs faster on a while another runs
+// faster on b (ties contradict nothing). With failFast it returns -1 at
+// the first contradiction instead.
+//
+// It sweeps the task rows in order. While every row is non-decreasing
+// along the machine order of the first row, no pair can be
+// contradicted, so a consistent matrix costs one check per entry. From
+// the first row that breaks that order on, it keeps the pairs still
+// consistent in shrinking lists, drops each pair at its first
+// contradiction and stops once no pair is left.
+func (in *Instance) consistentPairs(failFast bool) int {
+	m := in.M
+	order := make([]int, m)
+	for i := range order {
+		order[i] = i
+	}
+	first := in.TaskCosts(0)
+	sort.SliceStable(order, func(i, j int) bool { return first[order[i]] < first[order[j]] })
+	// apart[k] records that some row so far ran machine order[k]
+	// strictly faster than order[k+1].
+	apart := make([]bool, max(m-1, 0))
+	t := 0
+monotone:
+	for ; t < in.T; t++ {
+		row := in.TaskCosts(t)
+		for k := range apart {
+			if row[order[k+1]] < row[order[k]] {
+				if failFast && apart[k] {
+					return -1
+				}
+				break monotone
+			}
+		}
+		for k := range apart {
+			apart[k] = apart[k] || row[order[k]] != row[order[k+1]]
+		}
+	}
+	if t == in.T {
+		return m * (m - 1) / 2
+	}
+
+	// slower[a] holds the machines b that some task ran slower than a
+	// and none ran faster; tied holds the pairs no task has told apart.
+	slower := make([][]int32, m)
+	buf := make([]int32, m*(m-1))
+	for a := range slower {
+		slower[a] = buf[a*(m-1) : a*(m-1) : (a+1)*(m-1)]
+	}
+	var tied [][2]int32
+	for i, a := range order {
+		tiedSoFar := true
+		for j := i + 1; j < m; j++ {
+			tiedSoFar = tiedSoFar && !apart[j-1]
+			if tiedSoFar {
+				tied = append(tied, [2]int32{int32(a), int32(order[j])})
+			} else {
+				slower[a] = append(slower[a], int32(order[j]))
+			}
+		}
+	}
+	live := m * (m - 1) / 2
+	for ; t < in.T && live > 0; t++ {
+		row := in.TaskCosts(t)
+		live = len(tied)
+		for a, bs := range slower {
+			va := row[a]
+			k := 0
+			for _, b := range bs {
+				if !(row[b] < va) {
+					bs[k] = b
+					k++
+				}
+			}
+			if k < len(bs) && failFast {
+				return -1
+			}
+			slower[a] = bs[:k]
+			live += k
+		}
+		k := 0
+		for _, p := range tied {
+			switch va, vb := row[p[0]], row[p[1]]; {
+			case va < vb:
+				slower[p[0]] = append(slower[p[0]], p[1])
+			case vb < va:
+				slower[p[1]] = append(slower[p[1]], p[0])
+			default:
+				tied[k] = p
+				k++
+			}
+		}
+		tied = tied[:k]
+	}
+	return live
 }
 
 func coefficientOfVariation(xs []float64) float64 {

@@ -259,11 +259,9 @@ func Simulate(inst *etc.Instance, s *schedule.Schedule, cfg Config) (*Result, er
 		}
 	}
 
-	// duration returns the actual execution time of task t on machine m,
-	// read from the machine-major plane (contiguous in t for a fixed m,
-	// the same access pattern as the backlog scans).
+	// duration returns the actual execution time of task t on machine m.
 	duration := func(t, m int) float64 {
-		d := inst.MachineCosts(m)[t]
+		d := inst.TaskCosts(t)[m]
 		if cfg.NoiseSigma > 0 {
 			d *= math.Exp(cfg.NoiseSigma * normal(r))
 		}
@@ -408,11 +406,8 @@ func machineBacklogEnd(ms *machineState, inst *etc.Instance, now float64, m int)
 	if ms.runTask >= 0 {
 		end = math.Max(end, ms.runEnd)
 	}
-	// Fixed machine, varying task: the machine's contiguous cost column
-	// makes this a gather over one sequential slice.
-	mc := inst.MachineCosts(m)
 	for _, t := range ms.queue {
-		end += mc[t]
+		end += inst.TaskCosts(t)[m]
 	}
 	return end
 }

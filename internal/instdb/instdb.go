@@ -18,8 +18,10 @@
 // metadata names a blob in the offset index, and any number of
 // instances may share one blob. At open time the data block is decoded
 // into a single contiguous arena and every instance becomes a
-// zero-copy etc.Instance view into it — Get is a map lookup returning
-// a shared pointer, allocation-free and safe for concurrent use.
+// zero-copy etc.Instance view into it: an instance's matrix is its
+// blob's task-major slice of the arena, so Decode allocates no matrix
+// plane beyond the arena. Get is a map lookup returning a shared
+// pointer, allocation-free and safe for concurrent use.
 //
 // DB wraps a Store with atomic hot-reload (open-new / swap-pointer /
 // let-the-GC-collect-old under an RCU-style atomic.Pointer guard), so
@@ -319,12 +321,6 @@ func Decode(buf []byte) (*Store, error) {
 		unique:  len(blobs),
 		dataLen: int64(h.dataLen),
 	}
-	// Derive the transposed plane once per (blob, dims): instances that
-	// share a matrix share its column plane too.
-	type dimKey struct {
-		blob, t, m int
-	}
-	cols := make(map[dimKey][]float64)
 	zeros := make(map[int][]float64)
 	for _, im := range meta.Instances {
 		if im.Name == "" {
@@ -344,18 +340,6 @@ func Decode(buf []byte) (*Store, error) {
 			return nil, fmt.Errorf("instdb: instance %q is %dx%d but blob %d holds %d values",
 				im.Name, im.Tasks, im.Machines, im.Blob, b.Count)
 		}
-		row := arena[b.Off/8 : b.Off/8+b.Count]
-		key := dimKey{im.Blob, im.Tasks, im.Machines}
-		col, ok := cols[key]
-		if !ok {
-			col = make([]float64, len(row))
-			for t := 0; t < im.Tasks; t++ {
-				for m := 0; m < im.Machines; m++ {
-					col[m*im.Tasks+t] = row[t*im.Machines+m]
-				}
-			}
-			cols[key] = col
-		}
 		ready, ok := zeros[im.Machines]
 		if !ok {
 			ready = make([]float64, im.Machines)
@@ -365,8 +349,7 @@ func Decode(buf []byte) (*Store, error) {
 			Name:  im.Name,
 			T:     im.Tasks,
 			M:     im.Machines,
-			Row:   row,
-			Col:   col,
+			Row:   arena[b.Off/8 : b.Off/8+b.Count],
 			Ready: ready,
 		}
 		if cl, _, _, perr := etc.ParseSizedName(im.Name); perr == nil {
@@ -456,11 +439,11 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Verify revalidates every instance of a decoded store structurally
-// (etc.Instance.Validate: positive finite entries, mutually transposed
-// planes). When regen is true it additionally regenerates each instance
-// through etc.GenerateByName and requires bit-exact equality — the
-// strongest possible check that a corpus file still matches what
-// on-demand generation would produce.
+// (etc.Instance.Validate: matrix size, positive finite entries). When
+// regen is true it additionally regenerates each instance through
+// etc.GenerateByName and requires bit-exact equality — the strongest
+// possible check that a corpus file still matches what on-demand
+// generation would produce.
 func (s *Store) Verify(regen bool) error {
 	for _, name := range s.names {
 		in := s.byName[name]
@@ -477,7 +460,7 @@ func (s *Store) Verify(regen bool) error {
 		if in.T != want.T || in.M != want.M || in.ClassTag != want.ClassTag {
 			return fmt.Errorf("instdb: instance %q shape/class drifted from regeneration", name)
 		}
-		if !floatsEqual(in.Row, want.Row) || !floatsEqual(in.Col, want.Col) {
+		if !floatsEqual(in.Row, want.Row) {
 			return fmt.Errorf("instdb: instance %q is not bit-identical to regeneration", name)
 		}
 	}

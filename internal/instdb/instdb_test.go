@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gridsched/internal/etc"
@@ -55,9 +56,6 @@ func TestRoundTripBitExact(t *testing.T) {
 		if !floatsEqual(in.Row, want.Row) {
 			t.Fatalf("%q: Row plane not bit-identical", name)
 		}
-		if !floatsEqual(in.Col, want.Col) {
-			t.Fatalf("%q: Col plane not bit-identical", name)
-		}
 		if !floatsEqual(in.Ready, want.Ready) {
 			t.Fatalf("%q: Ready not bit-identical", name)
 		}
@@ -99,8 +97,8 @@ func TestDedup(t *testing.T) {
 		t.Fatal("deduped instances missing")
 	}
 	// The two views must share backing storage, not merely agree.
-	if &a.Row[0] != &b.Row[0] || &a.Col[0] != &b.Col[0] {
-		t.Fatal("deduped instances do not share their planes")
+	if &a.Row[0] != &b.Row[0] {
+		t.Fatal("deduped instances do not share their matrix")
 	}
 }
 
@@ -117,6 +115,39 @@ func TestGetAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Get allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestDecodeAllocatesOnlyTheArena pins the memory contract of Decode:
+// every instance is a view into the one decoded arena, so decoding a
+// corpus allocates little beyond DataBytes. A derived per-instance
+// matrix plane would double it.
+func TestDecodeAllocatesOnlyTheArena(t *testing.T) {
+	var names []string
+	for _, cl := range etc.AllClasses() {
+		names = append(names, cl.Name())
+	}
+	var buf bytes.Buffer
+	st, err := Build(&buf, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	store, err := Decode(img)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != len(names) {
+		t.Fatalf("decoded %d instances, want %d", store.Len(), len(names))
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Decode allocated %d bytes for %d data bytes", alloc, st.DataBytes)
+	if limit := uint64(st.DataBytes) * 3 / 2; alloc >= limit {
+		t.Fatalf("Decode allocated %d bytes for %d data bytes, want < %d (1.5×)", alloc, st.DataBytes, limit)
 	}
 }
 

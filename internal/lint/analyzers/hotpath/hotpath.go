@@ -1,10 +1,8 @@
-// Package hotpath flags per-element etc.Instance.ETC / ETCRow calls in
-// the repo's hot packages. PR 6 made the machine-major layout and its
-// slice accessors (TaskCosts, MachineCosts, ColBlock,
-// MachineCostsBlock) the sanctioned way to read costs on hot paths: a
-// per-element call inside a loop re-derives the element address and
-// defeats bounds-check elimination and vectorization-friendly code the
-// batched kernels rely on. The pass flags such calls inside loop
+// Package hotpath flags per-element etc.Instance.ETC calls in the
+// repo's hot packages. The slice accessor TaskCosts is the sanctioned
+// way to read costs on hot paths: a per-element call inside a loop
+// re-derives the element address and defeats bounds-check elimination
+// and vectorization-friendly code the batched kernels rely on. The pass flags such calls inside loop
 // bodies, and inside function literals (hot-package closures are event
 // and per-candidate callbacks — a call there runs per iteration even
 // though no loop encloses it lexically).
@@ -20,7 +18,7 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "flags per-element Instance.ETC calls in hot-package loops; use the PR-6 slice accessors (TaskCosts/MachineCosts/ColBlock)",
+	Doc:  "flags per-element Instance.ETC calls in hot-package loops and closures; read through the TaskCosts slice accessor",
 	Run:  run,
 }
 
@@ -71,7 +69,7 @@ func checkNode(pass *analysis.Pass, n ast.Node, inLoop, inFuncLit bool) {
 			return false
 		case *ast.CallExpr:
 			recv, method, ok := lintutil.MethodCall(n)
-			if !ok || (method != "ETC" && method != "ETCRow") {
+			if !ok || method != "ETC" {
 				return true
 			}
 			if !lintutil.IsNamed(lintutil.TypeOf(pass.TypesInfo, recv), etcPkg, "Instance") {
@@ -79,9 +77,9 @@ func checkNode(pass *analysis.Pass, n ast.Node, inLoop, inFuncLit bool) {
 			}
 			switch {
 			case inLoop:
-				pass.Reportf(n.Pos(), "per-element %s call in a hot-package loop; read through the slice accessors (TaskCosts/MachineCosts/ColBlock) instead", method)
+				pass.Reportf(n.Pos(), "per-element %s call in a hot-package loop; read through the TaskCosts slice accessor instead", method)
 			case inFuncLit:
-				pass.Reportf(n.Pos(), "per-element %s call in a hot-package function literal (closures here run per event); read through the slice accessors (TaskCosts/MachineCosts/ColBlock) instead", method)
+				pass.Reportf(n.Pos(), "per-element %s call in a hot-package function literal (closures here run per event); read through the TaskCosts slice accessor instead", method)
 			}
 			return true
 		}

@@ -5,13 +5,9 @@ package etc
 // Instance mirrors the accessor surface of the real
 // gridsched/internal/etc.Instance.
 type Instance struct {
-	T, M     int
-	Row, Col []float64
+	T, M int
+	Row  []float64
 }
 
-func (in *Instance) ETC(t, m int) float64      { return in.Col[m*in.T+t] }
-func (in *Instance) ETCRow(t, m int) float64   { return in.Row[t*in.M+m] }
+func (in *Instance) ETC(t, m int) float64      { return in.Row[t*in.M+m] }
 func (in *Instance) TaskCosts(t int) []float64 { return in.Row[t*in.M : (t+1)*in.M] }
-func (in *Instance) MachineCosts(m int) []float64 {
-	return in.Col[m*in.T : (m+1)*in.T]
-}

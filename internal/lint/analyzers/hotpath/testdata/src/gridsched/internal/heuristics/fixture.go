@@ -10,8 +10,8 @@ func SumLoop(in *etc.Instance) float64 {
 	for t := 0; t < in.T; t++ {
 		s += in.ETC(t, 0) // want `per-element ETC call in a hot-package loop`
 	}
-	for m := 0; m < in.M; m++ {
-		s += in.ETCRow(0, m) // want `per-element ETCRow call in a hot-package loop`
+	for m := range in.TaskCosts(0) {
+		s += in.ETC(0, m) // want `per-element ETC call in a hot-package loop`
 	}
 	return s
 }

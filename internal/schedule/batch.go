@@ -26,7 +26,8 @@ func grow(buf *[]float64, n int) []float64 {
 // BatchEvaluate computes the makespan of every assignment vector in one
 // pass, reusing a single completion-time arena (B×M compensated lanes
 // held by the Scratch) across the whole batch instead of building B
-// schedules. Vectors may contain Unassigned entries; each must have
+// schedules. Each vector is one task-ordered pass over the row layout
+// that reads only its assigned entries. Vectors may contain Unassigned entries; each must have
 // length inst.T (a mismatch panics — it is a programming error, exactly
 // like assigning out of range).
 //
@@ -89,10 +90,9 @@ func BatchLoad(ss []*Schedule) {
 
 // MoveScores scores every destination machine for relocating task onto
 // it: out[m] = CT[m] + ETC(task, m), the completion time machine m
-// would reach if the task were moved (or assigned) there. One
-// contiguous sweep over the task's cost row replaces M strided
-// per-element ETC reads — this is the batched neighborhood kernel
-// behind tabu's candidate scoring. Callers that must exclude a
+// would reach if the task were moved (or assigned) there, in one
+// contiguous sweep over the task's cost row — this is the batched
+// neighborhood kernel behind tabu's candidate scoring. Callers that must exclude a
 // machine (the source, or a tabu destination) skip it while consuming
 // the scores, which keeps the kernel branch-free.
 //

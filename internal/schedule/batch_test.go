@@ -9,10 +9,8 @@ import (
 	"gridsched/internal/rng"
 )
 
-// batchTestInstance generates one instance per geometry, spanning both
-// bulk-load kernel regimes (blocked machine-major for M ≤
-// blockedKernelMaxM, task-ordered row sweep above) plus the M=1
-// degenerate case.
+// batchTestInstance generates one instance per geometry of
+// batchTestShapes.
 func batchTestInstance(t *testing.T, tasks, machines int, seed uint64) *etc.Instance {
 	t.Helper()
 	in, err := etc.Generate(etc.GenSpec{
@@ -29,11 +27,11 @@ func batchTestInstance(t *testing.T, tasks, machines int, seed uint64) *etc.Inst
 
 var batchTestShapes = []struct{ tasks, machines int }{
 	{7, 1},    // degenerate single machine
-	{64, 4},   // blocked kernel, tiny
-	{257, 16}, // blocked kernel, paper-ish machine count, odd task count
-	{128, 32}, // blocked kernel at its upper bound
-	{128, 33}, // row kernel just past the bound
-	{300, 64}, // row kernel
+	{64, 4},   // tiny
+	{257, 16}, // paper-ish machine count, odd task count
+	{128, 32},
+	{128, 33},
+	{300, 64}, // wide
 }
 
 // randomAssignment fills a fresh assignment vector, leaving a sprinkle
@@ -91,8 +89,8 @@ func requireSameState(t *testing.T, want, got *Schedule, label string) {
 }
 
 // TestSetAssignmentsMatchesSequentialAssign is the bulk-load equivalence
-// property: loading a vector through SetAssignments (the hybrid blocked /
-// row kernel) must leave the schedule in the bit-identical state that
+// property: loading a vector through SetAssignments (the task-ordered
+// bulk-load pass) must leave the schedule in the bit-identical state that
 // assigning every task incrementally in ascending order produces —
 // including the compensation tails, so the two schedules stay
 // bit-identical under any shared sequence of subsequent moves.

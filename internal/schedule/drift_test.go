@@ -91,11 +91,10 @@ func TestDegenerateInstances(t *testing.T) {
 				T:     tc.tasks,
 				M:     tc.machs,
 				Row:   make([]float64, tc.tasks*tc.machs),
-				Col:   make([]float64, tc.tasks*tc.machs),
 				Ready: make([]float64, tc.machs),
 			}
 			for i := range in.Row {
-				in.Row[i], in.Col[i] = 1, 1
+				in.Row[i] = 1
 			}
 			s := New(in)
 			if got := s.Makespan(); got != 0 {

@@ -98,8 +98,8 @@ func New(inst *etc.Instance) *Schedule {
 // drawn uniformly at random; this is how the paper initializes all but
 // one individual of the population. The machines are drawn in ascending
 // task order — the exact RNG consumption of a per-task Assign loop —
-// and CT is then built by the bulk-load kernel, which is bit-identical
-// to sequential Assign calls (see loadFromS).
+// and CT is then built in one task-ordered pass over the row layout,
+// which is bit-identical to sequential Assign calls (see loadFromS).
 func NewRandom(inst *etc.Instance, r *rng.Rand) *Schedule {
 	s := New(inst)
 	s.Randomize(r)
@@ -149,44 +149,14 @@ func (s *Schedule) SetAssignments(assign []int) error {
 	return nil
 }
 
-// blockedKernelMaxM bounds the machine count up to which the bulk-load
-// kernels use the blocked machine-major sweep: its M passes per task
-// block read the whole T×M matrix, which beats the single task-ordered
-// row pass (sequential streaming vs one strided read per task) only
-// while the matrix rows are thin.
-const blockedKernelMaxM = 32
-
 // accumulateAssign folds the cost of every assigned task of a into the
 // compensated completion-time lanes (ct, lo), which the caller has
-// initialized (typically to the ready times and zero). Per machine the
-// tasks are accumulated in ascending order — the same order sequential
-// Assign calls in ascending t produce — so the resulting pairs are
-// bit-identical to the incremental path regardless of which sweep runs.
-//
-// Two sweeps implement that order: for small machine counts a blocked
-// machine-major kernel streams each MachineCostsBlock sequentially
-// while the assignment block stays cache-resident across the M machine
-// passes (the paper's transposed-layout win); for large M that sweep
-// would touch all T×M entries, so a single task-ordered pass over the
-// row layout reads only the T assigned entries instead.
+// initialized (typically to the ready times and zero). One pass in
+// ascending task order reads only the T assigned entries of the row
+// layout and accumulates each machine's tasks in the order sequential
+// Assign calls in ascending t produce, so the resulting pairs are
+// bit-identical to the incremental path.
 func accumulateAssign(inst *etc.Instance, a []int, ct, lo []float64) {
-	if inst.M <= blockedKernelMaxM {
-		for blo := 0; blo < inst.T; blo += etc.TaskBlock {
-			bhi := min(blo+etc.TaskBlock, inst.T)
-			blk := a[blo:bhi]
-			for m := 0; m < inst.M; m++ {
-				mc := inst.MachineCostsBlock(m, blo, bhi)
-				cth, ctl := ct[m], lo[m]
-				for i, mm := range blk {
-					if mm == m {
-						cth, ctl = accAdd(cth, ctl, mc[i])
-					}
-				}
-				ct[m], lo[m] = cth, ctl
-			}
-		}
-		return
-	}
 	row, m := inst.Row, inst.M
 	for t, mm := range a {
 		if mm != Unassigned {
@@ -196,8 +166,8 @@ func accumulateAssign(inst *etc.Instance, a []int, ct, lo []float64) {
 }
 
 // loadFromS rebuilds CT, the compensation terms and the max index from
-// the current S, bit-identically to assigning every task incrementally
-// in ascending order (see accumulateAssign for why).
+// the current S with one accumulateAssign pass, bit-identically to
+// assigning every task incrementally in ascending order.
 func (s *Schedule) loadFromS() {
 	copy(s.CT, s.Inst.Ready)
 	clear(s.ctLo)
@@ -310,8 +280,7 @@ func (s *Schedule) Unassign(t int) {
 // index update. Moving a task to its current machine is a no-op. Moving
 // an unassigned task is equivalent to Assign. Both ETC reads go through
 // the task's cost row, so source and destination costs usually share a
-// cache line instead of sitting a column apart in the transposed
-// layout.
+// cache line.
 func (s *Schedule) Move(t, m int) {
 	from := s.S[t]
 	if from == m {

@@ -95,8 +95,8 @@ type Config struct {
 	// reference — a sized benchmark name ("u_c_hihi.0@4096x64") or an
 	// inline matrix. Specs beyond it are rejected at Submit, bounding
 	// worst-case instance-cache memory to roughly CacheSize ×
-	// MaxMatrixEntries × 16 bytes. Zero means the default (1<<20
-	// entries ≈ 16 MB per instance); negative disables the cap (for
+	// MaxMatrixEntries × 8 bytes. Zero means the default (1<<20
+	// entries ≈ 8 MB per instance); negative disables the cap (for
 	// trusted embedders like the scenario sweep).
 	MaxMatrixEntries int
 	// Logger receives structured job-lifecycle records (submit, start,
