@@ -10,13 +10,15 @@ import (
 )
 
 // referenceH2LLApply is the historical H2LL implementation, kept
-// verbatim as the scalar reference: each iteration draws the task by a
-// reservoir over the whole assignment vector (RandomTaskOn), builds the
-// sorted least-loaded candidate list with the heap-based LeastLoaded and
-// walks it in order with per-element strict comparisons. The production
-// Apply links the tasks into per-machine lists and sorts the machines
-// once per call and maintains both across moves; this reference pins
-// the required bit-identical behavior.
+// verbatim as the scalar reference: each iteration draws the task off
+// the makespan machine with RandomTaskOn's full scan of the assignment
+// vector (one Intn over the machine's task count, then the k-th task in
+// ascending order), builds the sorted least-loaded candidate list with
+// the heap-based LeastLoaded and walks it in order with per-element
+// strict comparisons. The production Apply links and counts the tasks
+// in per-machine lists and sorts the machines once per call and
+// maintains all of them across moves; this reference pins the required
+// bit-identical behavior.
 func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0

@@ -359,42 +359,44 @@ type H2LL struct {
 func (h H2LL) Name() string { return fmt.Sprintf("h2ll/%d", h.Iterations) }
 
 // h2llScratch is the pooled per-call state of H2LL.Apply: the machine
-// order and one linked task list per machine, which let each iteration
-// skip the O(tasks) scan of the assignment vector and the re-ranking of
-// the machines. Pooling keeps Apply — called once per offspring on
-// every worker — off the allocator: after warm-up at a shape it
-// allocates nothing.
+// order and one counted, linked task list per machine, which let each
+// iteration skip the O(tasks) scan of the assignment vector and the
+// re-ranking of the machines. Pooling keeps Apply — called once per
+// offspring on every worker — off the allocator: after warm-up at a
+// shape it allocates nothing.
 type h2llScratch struct {
 	// order holds the machines in ascending (CT, index) order; the
 	// candidate set is its prefix.
 	order []int
-	// plane backs head and next in one allocation of machines+tasks
-	// entries. Machine m's tasks, in ascending order, are head[m],
-	// next[head[m]], …, up to a -1; next of an unassigned task is
-	// unused.
-	plane      []int32
-	head, next []int32
+	// plane backs head, cnt and next in one allocation of
+	// 2·machines+tasks entries. Machine m's cnt[m] tasks, in ascending
+	// order, are head[m], next[head[m]], …, up to a -1; next of an
+	// unassigned task is unused.
+	plane           []int32
+	head, cnt, next []int32
 }
 
 var h2llPool = sync.Pool{New: func() any { return new(h2llScratch) }}
 
-// load sorts the machines and links s's assigned tasks into their
-// machines' lists in one descending pass over S, so every list comes
-// out in ascending task order.
+// load sorts the machines and links and counts s's assigned tasks into
+// their machines' lists in one descending pass over S, so every list
+// comes out in ascending task order.
 func (ws *h2llScratch) load(s *schedule.Schedule) {
 	m, t := s.Inst.M, len(s.S)
 	ws.order = s.MachinesByCompletion(ws.order)
-	if cap(ws.plane) < m+t {
-		ws.plane = make([]int32, m+t)
+	if cap(ws.plane) < 2*m+t {
+		ws.plane = make([]int32, 2*m+t)
 	}
-	ws.head, ws.next = ws.plane[:m], ws.plane[m:m+t]
+	ws.head, ws.cnt, ws.next = ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:2*m+t]
 	for i := range ws.head {
 		ws.head[i] = -1
+		ws.cnt[i] = 0
 	}
 	for task := t - 1; task >= 0; task-- {
 		if mac := s.S[task]; mac != schedule.Unassigned {
 			ws.next[task] = ws.head[mac]
 			ws.head[mac] = int32(task)
+			ws.cnt[mac]++
 		}
 	}
 }
@@ -412,6 +414,8 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to int
 	} else {
 		next[prev] = next[task]
 	}
+	ws.cnt[from]--
+	ws.cnt[to]++
 	p, q := int32(-1), head[to]
 	for q >= 0 && q < task {
 		p, q = q, next[q]
@@ -435,16 +439,16 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to int
 }
 
 // Apply implements LocalSearch. The O(tasks) and O(M log M) work happens
-// once per call: load links the tasks into per-machine lists and sorts
-// the machines by (CT, index). Each iteration then reads the makespan
-// machine in O(1) from the schedule's max index, draws its task by the
-// reservoir of Schedule.RandomTaskOn run over that machine's ascending
-// task list (the same draws and the same winner as the full scan), and
-// walks the Candidates least-loaded machines in ascending (CT, index)
-// order, keeping the first strictly smallest new completion time. A
-// move relinks the task and updates the order incrementally, so an
-// iteration costs O(tasks on the makespan machine and the destination
-// + M).
+// once per call: load links the tasks into counted per-machine lists and
+// sorts the machines by (CT, index). Each iteration then reads the
+// makespan machine in O(1) from the schedule's max index, picks its
+// task by Schedule.RandomTaskOn's rule (k := r.Intn(count), then k
+// links down the machine's ascending list), and scans the Candidates
+// least-loaded machines in ascending (CT, index) order, keeping the
+// first strictly smallest new completion time. A
+// move relinks the task and updates the counts and the order
+// incrementally, so an iteration costs O(tasks on the makespan machine
+// and the destination + M).
 func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -466,18 +470,16 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
 		worst, worstCT := s.MakespanMachine()
-		first := ws.head[worst]
-		if first < 0 {
+		n := ws.cnt[worst]
+		if n == 0 {
 			// The makespan machine holds no task (all load is ready
 			// time); nothing can move, and further iterations would pick
 			// the same machine.
 			break
 		}
-		task, prev := first, int32(-1)
-		for i, p, cur := 0, int32(-1), first; cur >= 0; i, p, cur = i+1, cur, ws.next[cur] {
-			if r.Intn(i+1) == 0 {
-				task, prev = cur, p
-			}
+		task, prev := ws.head[worst], int32(-1)
+		for k := r.Intn(int(n)); k > 0; k-- {
+			task, prev = ws.next[task], task
 		}
 		costs := s.Inst.TaskCosts(int(task))
 		// A candidate can tie-collide with the makespan machine itself;

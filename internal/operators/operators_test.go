@@ -473,6 +473,52 @@ func TestH2LLMovesComeOffWorstMachine(t *testing.T) {
 	}
 }
 
+// TestH2LLOneDrawPerIteration pins H2LL's RNG contract directly: one
+// iteration draws its task off the makespan machine with exactly one
+// Intn(n), where n is that machine's task count, and takes the draw's
+// k-th task in ascending order, so the moved task is uniform over the n.
+// The schedule stacks all n tasks on machine 0 with unit costs, so every
+// candidate accepts the move.
+func TestH2LLOneDrawPerIteration(t *testing.T) {
+	const n, machines = 4, 4
+	row := make([]float64, n*machines)
+	for i := range row {
+		row[i] = 1
+	}
+	in, err := etc.New("stacked", n, machines, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(10)
+	counts := make([]int, n)
+	for trial := 0; trial < 1000*n; trial++ {
+		s := schedule.New(in)
+		for task := 0; task < n; task++ {
+			s.Assign(task, 0)
+		}
+		twin := *r
+		k := twin.Intn(n)
+		if moves := (H2LL{Iterations: 1}).Apply(s, r); moves != 1 {
+			t.Fatalf("trial %d: %d moves, want 1", trial, moves)
+		}
+		if *r != twin {
+			t.Fatalf("trial %d: Apply consumed a different RNG stream than one Intn(%d)", trial, n)
+		}
+		if got := s.TasksOn(0, nil); len(got) != n-1 {
+			t.Fatalf("trial %d: machine 0 keeps tasks %v", trial, got)
+		}
+		if s.S[k] == 0 {
+			t.Fatalf("trial %d: task %d drawn but not moved", trial, k)
+		}
+		counts[k]++
+	}
+	for task, c := range counts {
+		if c < 700 || c > 1300 {
+			t.Fatalf("H2LL draw biased: task %d moved %d/%d times", task, c, 1000*n)
+		}
+	}
+}
+
 // Property: H2LL preserves completeness, the CT invariant, and
 // monotonically non-increasing makespan for any iteration count.
 func TestH2LLProperty(t *testing.T) {

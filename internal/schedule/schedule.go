@@ -660,22 +660,27 @@ func (s *Schedule) CountOn(m int) int {
 	return n
 }
 
-// RandomTaskOn returns a uniformly chosen task assigned to machine m via
-// reservoir sampling over a single scan of S, or -1 if the machine is
-// empty. H2LL uses this to pick the task to move off the makespan
-// machine.
+// RandomTaskOn returns a uniformly chosen task assigned to machine m, or
+// -1 if the machine is empty. It counts the machine's tasks, draws
+// k := r.Intn(count) — one draw, none for an empty machine — and
+// returns the k-th of them in ascending task order. H2LL.Apply draws
+// its task off the makespan machine by the same rule.
 func (s *Schedule) RandomTaskOn(m int, r *rng.Rand) int {
-	chosen, seen := -1, 0
+	n := s.CountOn(m)
+	if n == 0 {
+		return -1
+	}
+	k := r.Intn(n)
 	for t, mm := range s.S {
 		if mm != m {
 			continue
 		}
-		seen++
-		if r.Intn(seen) == 0 {
-			chosen = t
+		if k == 0 {
+			return t
 		}
+		k--
 	}
-	return chosen
+	panic("schedule: RandomTaskOn lost a counted task")
 }
 
 // machineLess is the total order behind MachinesByCompletion and
