@@ -77,12 +77,12 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceThroughputParallel is the sharded-core scaling probe:
-// every benchmark goroutine is an independent closed-loop client doing
-// synchronous submit→Wait round trips, so intake, dispatch and
-// retirement contend from as many directions as GOMAXPROCS allows.
-// Compare runs at -cpu 1,2,4,8: with the per-shard stores the jobs/s
-// figure should grow with cores instead of flatlining on a global lock.
+// BenchmarkServiceThroughputParallel is the service core's scaling
+// probe: every benchmark goroutine is an independent closed-loop client
+// doing synchronous submit→Wait round trips, so intake, dispatch and
+// retirement contend on the one job-store lock and run queue from as
+// many directions as GOMAXPROCS allows. Compare runs at -cpu 1,2: the
+// jobs/s figure should grow with cores.
 func BenchmarkServiceThroughputParallel(b *testing.B) {
 	var buf bytes.Buffer
 	if _, err := instdb.Build(&buf, []string{"u_i_hihi.0@64x8"}); err != nil {

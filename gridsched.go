@@ -186,25 +186,11 @@ func LookupSolver(name string) (Solver, error) { return solver.Lookup(name) }
 func SolverNames() []string { return solver.Names() }
 
 // SolverInfo pairs a registry name with its one-line description.
-type SolverInfo struct {
-	Name        string
-	Description string
-}
+type SolverInfo = solver.Info
 
 // Solvers lists every registered solver with its description, sorted
 // by name — the shared source for CLI listings.
-func Solvers() []SolverInfo {
-	names := solver.Names()
-	infos := make([]SolverInfo, 0, len(names))
-	for _, name := range names {
-		s, err := solver.Lookup(name)
-		if err != nil {
-			continue // unregistered concurrently; skip rather than fail a listing
-		}
-		infos = append(infos, SolverInfo{Name: name, Description: s.Describe()})
-	}
-	return infos
-}
+func Solvers() []SolverInfo { return solver.List() }
 
 // --- PA-CGA (the paper's algorithm) ---
 
@@ -346,8 +332,8 @@ const (
 
 // ServiceStats, ServiceSolverStats and ServiceShardStats are the
 // service's counters snapshot: totals, the per-solver breakdown, and
-// the per-shard breakdown of the sharded core (submission, retirement
-// and steal counts plus live queue gauges for each worker shard).
+// the one-row run-queue view (submission and retirement counts plus
+// live queue gauges; its steal count is always 0).
 type (
 	ServiceStats       = service.Stats
 	ServiceSolverStats = service.SolverStats

@@ -1,4 +1,4 @@
-// Package lockhold mechanizes the PR-9 service locking contract: a
+// Package lockhold mechanizes the service locking contract: a
 // sync.Mutex / sync.RWMutex held inside internal/service guards one
 // short critical section, and no blocking operation — channel send,
 // channel receive, select without default, sync.WaitGroup/Cond Wait,
@@ -113,7 +113,7 @@ func (w *walker) stmt(s ast.Stmt, h held) bool {
 		w.exprs(h, s.X)
 	case *ast.SendStmt:
 		if m := h.any(); m != "" {
-			w.pass.Reportf(s.Arrow, "channel send while %q is held; release the lock before blocking (PR-9 shard-lock contract)", m)
+			w.pass.Reportf(s.Arrow, "channel send while %q is held; release the lock before blocking (service lock contract)", m)
 		}
 		w.exprs(h, s.Chan, s.Value)
 	case *ast.AssignStmt:
@@ -208,7 +208,7 @@ func (w *walker) stmt(s ast.Stmt, h held) bool {
 			}
 		}
 		if m := h.any(); m != "" && !hasDefault {
-			w.pass.Reportf(s.Select, "blocking select while %q is held; add a default case or release the lock first (PR-9 shard-lock contract)", m)
+			w.pass.Reportf(s.Select, "blocking select while %q is held; add a default case or release the lock first (service lock contract)", m)
 		}
 		after := h.clone()
 		for _, cc := range s.Body.List {
@@ -293,7 +293,7 @@ func (w *walker) exprs(h held, list ...ast.Expr) {
 				return false
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
-					w.pass.Reportf(n.OpPos, "channel receive while %q is held; release the lock before blocking (PR-9 shard-lock contract)", m)
+					w.pass.Reportf(n.OpPos, "channel receive while %q is held; release the lock before blocking (service lock contract)", m)
 				}
 			case *ast.CallExpr:
 				recv, method, ok := lintutil.MethodCall(n)
@@ -303,9 +303,9 @@ func (w *walker) exprs(h held, list ...ast.Expr) {
 				rt := lintutil.TypeOf(w.pass.TypesInfo, recv)
 				switch {
 				case method == "Wait" && (lintutil.IsNamed(rt, "sync", "WaitGroup") || lintutil.IsNamed(rt, "sync", "Cond")):
-					w.pass.Reportf(n.Pos(), "sync %s.Wait while %q is held; release the lock before blocking (PR-9 shard-lock contract)", types.ExprString(recv), m)
+					w.pass.Reportf(n.Pos(), "sync %s.Wait while %q is held; release the lock before blocking (service lock contract)", types.ExprString(recv), m)
 				case method == "Sleep" && isPkg(w.pass, recv, "time"):
-					w.pass.Reportf(n.Pos(), "time.Sleep while %q is held; release the lock before blocking (PR-9 shard-lock contract)", m)
+					w.pass.Reportf(n.Pos(), "time.Sleep while %q is held; release the lock before blocking (service lock contract)", m)
 				}
 			}
 			return true

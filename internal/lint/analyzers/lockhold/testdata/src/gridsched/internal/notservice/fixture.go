@@ -1,4 +1,4 @@
-// Package notservice is outside the PR-9 contract's scope: identical
+// Package notservice is outside the service lock contract's scope: identical
 // code draws no findings here.
 package notservice
 

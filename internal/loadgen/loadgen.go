@@ -209,17 +209,18 @@ type Report struct {
 	SubmitLatency LatencySummary `json:"submit_latency"`
 	E2ELatency    LatencySummary `json:"e2e_latency"`
 
-	// Shards breaks the run down by service worker shard, from the
-	// /v1/stats reads taken at the start and end of the measured
-	// window. Empty when the target does not report shards.
+	// Shards is the target's run-queue row (the one-element "shards"
+	// array of /v1/stats), as deltas between the reads taken at the
+	// start and end of the measured window. Empty when the target does
+	// not report it.
 	Shards []ShardReport `json:"shards,omitempty"`
 }
 
-// ShardReport is the measured-window delta for one worker shard of the
-// target service. JobsPerSec is the shard's retirement rate over the
-// window (stolen jobs count on the shard whose worker executed them);
-// QueueDepthPeak is the server-lifetime high-water mark of the shard's
-// queue.
+// ShardReport is the measured-window delta for the target service's
+// run queue. JobsPerSec is its retirement rate over the window;
+// QueueDepthPeak is the server-lifetime high-water mark of its queued
+// jobs. Shard and Stolen are always 0 against this repo's service,
+// which has one queue and no stealing.
 type ShardReport struct {
 	Shard          int     `json:"shard"`
 	Finished       int64   `json:"finished"`
@@ -228,7 +229,7 @@ type ShardReport struct {
 	QueueDepthPeak int     `json:"queue_depth_peak"`
 }
 
-// shardStatsView is the slice of the /v1/stats shard entry the
+// shardStatsView is the slice of the /v1/stats run-queue row the
 // generator needs.
 type shardStatsView struct {
 	Shard          int   `json:"shard"`
@@ -237,7 +238,7 @@ type shardStatsView struct {
 	QueueDepthPeak int   `json:"queue_depth_peak"`
 }
 
-// fetchShardStats reads the per-shard counters from /v1/stats.
+// fetchShardStats reads the run-queue row's counters from /v1/stats.
 func fetchShardStats(ctx context.Context, cfg Config) ([]shardStatsView, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/v1/stats", nil)
 	if err != nil {
@@ -383,7 +384,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}()
 	}
 
-	// Per-shard breakdown endpoints: one stats read as the measured
+	// Run-queue breakdown endpoints: one stats read as the measured
 	// window opens, one after the pool drains. Best-effort — a target
 	// without a shards array just yields no breakdown. The window opens
 	// when the opening read returns, not at the nominal warmup end: a

@@ -290,7 +290,7 @@ func TestRandomTaskOn(t *testing.T) {
 		}
 	}
 	if got := s.RandomTaskOn(2, r); got%3 != 2 {
-		t.Fatal("reservoir broken")
+		t.Fatalf("RandomTaskOn(2) after the sampling loop returned task %d, which is not on machine 2", got)
 	}
 	empty := New(in)
 	if got := empty.RandomTaskOn(0, r); got != -1 {

@@ -401,19 +401,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
-	type solverJSON struct {
-		Name        string `json:"name"`
-		Description string `json:"description"`
-	}
-	var out []solverJSON
-	for _, name := range solver.Names() {
-		sv, err := solver.Lookup(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, solverJSON{Name: name, Description: sv.Describe()})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"solvers": out})
+	writeJSON(w, http.StatusOK, map[string]any{"solvers": solver.List()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -443,6 +431,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			EvalsPerSecond: sv.EvalsPerSecond,
 		}
 	}
+	// shards is a one-element array describing the run queue (see
+	// ShardStats), kept for clients of the former per-shard breakdown.
 	type shardStatsJSON struct {
 		Shard          int   `json:"shard"`
 		Submitted      int64 `json:"submitted"`

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -114,17 +113,18 @@ type JobResult struct {
 	Assignment     []int
 }
 
-// job is the manager's mutable record behind Job snapshots. id is
-// assigned under the owning shard's lock at enqueue and immutable
-// afterwards; home is the owning shard, whose live gauges the state
+// job is the manager's mutable record behind Job snapshots. seq and
+// id are assigned under the server's lock at enqueue and immutable
+// afterwards; home is the server's live gauges, which the state
 // transitions below keep current.
 type job struct {
+	seq    uint64
 	id     string
 	spec   JobSpec
 	solver solver.Solver
 	inst   *etc.Instance
 	budget solver.Budget
-	home   *shard
+	home   *gauges
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -157,7 +157,7 @@ type job struct {
 	err       error
 }
 
-func newJob(spec JobSpec, sv solver.Solver, inst *etc.Instance, b solver.Budget, parent context.Context, home *shard) *job {
+func newJob(spec JobSpec, sv solver.Solver, inst *etc.Instance, b solver.Budget, parent context.Context, home *gauges) *job {
 	ctx, cancel := context.WithCancel(parent)
 	trace := obs.NewRecorder(0)
 	j := &job{
@@ -330,16 +330,4 @@ func (j *job) snapshot() Job {
 		}
 	}
 	return out
-}
-
-// sortJobs orders snapshots newest first. IDs are monotonic only
-// within a shard, so ordering keys on the submit time, with the ID as
-// a deterministic tie-break.
-func sortJobs(jobs []Job) {
-	sort.Slice(jobs, func(a, b int) bool {
-		if !jobs[a].SubmittedAt.Equal(jobs[b].SubmittedAt) {
-			return jobs[a].SubmittedAt.After(jobs[b].SubmittedAt)
-		}
-		return jobs[a].ID > jobs[b].ID
-	})
 }

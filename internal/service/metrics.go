@@ -13,7 +13,7 @@ import (
 // the metrics can never drift from /v1/stats; only event counters and
 // the busy gauge are written on the hot path. Every scrape-time func
 // reads atomics — a scrape acquires no lock, so /metrics can never
-// stall (or be stalled by) the shards.
+// stall (or be stalled by) the job store.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -36,35 +36,21 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	reg.GaugeFunc("gridsched_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	// Depth is state-derived (jobs still in StateQueued), summed over
-	// the per-shard gauges that the job state machine maintains — not
-	// occupied queue slots: a job cancelled while queued stays in its
-	// slot until a worker drains it, and counting that dead slot made
-	// this gauge drift from the Queued field of /v1/stats. Both read
-	// the same shard gauges, the single source.
+	// Depth is state-derived (jobs still in StateQueued), read from the
+	// gauge the job state machine maintains — not len(queue): a job
+	// cancelled while queued stays in its slot until a worker drains
+	// it, and counting that dead slot made this gauge drift from the
+	// Queued field of /v1/stats. Both read the same gauge, the single
+	// source.
 	reg.GaugeFunc("gridsched_queue_depth", "Jobs queued awaiting dispatch (state-derived; matches /v1/stats).",
-		func() float64 {
-			var q int64
-			for _, sh := range s.shards {
-				q += sh.queued.Load()
-			}
-			return float64(q)
-		})
+		func() float64 { return float64(s.gauges.queued.Load()) })
 	reg.GaugeFunc("gridsched_queue_capacity", "Total capacity of the submission queue (service-wide).",
 		func() float64 { return float64(s.cfg.QueueSize) })
 	reg.GaugeFunc("gridsched_workers", "Size of the solve worker pool.",
 		func() float64 { return float64(s.cfg.Workers) })
-	reg.GaugeFunc("gridsched_shards", "Number of service shards (job stores / run queues).",
-		func() float64 { return float64(len(s.shards)) })
 	m.busy = reg.Gauge("gridsched_workers_busy", "Workers currently solving a job.")
 	reg.GaugeFunc("gridsched_jobs_retained", "Jobs retained in memory (all states).",
-		func() float64 {
-			var r int64
-			for _, sh := range s.shards {
-				r += sh.retained.Load()
-			}
-			return float64(r)
-		})
+		func() float64 { return float64(s.gauges.retained.Load()) })
 
 	m.submitted = reg.Counter("gridsched_jobs_submitted_total", "Jobs accepted by Submit.")
 	m.rejected = reg.CounterVec("gridsched_jobs_rejected_total", "Jobs refused at Submit, by reason.", "reason")
@@ -74,15 +60,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latencyBuckets, "solver")
 	m.evals = reg.CounterVec("gridsched_job_evaluations_total", "Fitness evaluations performed by finished jobs.", "solver")
 
-	// The steal total sums the per-shard counters /v1/stats reports.
-	reg.CounterFunc("gridsched_jobs_stolen_total", "Jobs executed by a worker that stole them from another shard's queue.",
-		func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += sh.stolen.Load()
-			}
-			return n
-		})
 	reg.CounterFunc("gridsched_jobs_evicted_total", "Finished jobs dropped by the retention janitor.",
 		func() int64 { return s.evicted.Load() })
 

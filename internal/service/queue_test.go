@@ -10,33 +10,15 @@ import (
 	"time"
 )
 
-// TestJobIDRouting pins the shard-qualified ID format and its parser:
-// round-trips for every shard index, and rejection (not a crash, not a
-// wrong shard) for everything malformed a client could send.
-func TestJobIDRouting(t *testing.T) {
-	for _, shard := range []int{0, 1, 7, 15, 123} {
-		id := jobID(shard, 42)
-		got, ok := parseShardID(id)
-		if !ok || got != shard {
-			t.Errorf("parseShardID(%q) = %d, %v; want %d, true", id, got, ok, shard)
-		}
-	}
-	for _, bad := range []string{"", "j", "j-", "j00000001", "j99999999", "x0-00000001", "j-1-00000001", "jx-00000001", "nope"} {
-		if got, ok := parseShardID(bad); ok {
-			t.Errorf("parseShardID(%q) = %d, true; want rejection", bad, got)
-		}
-	}
-}
-
 // TestStatsCounterProperty is the stats book's correctness property
-// under churn: while jobs retire across shards, concurrently observed
-// totals (per-shard finished, per-solver done+failed+cancelled,
-// submitted) must never regress, and once the last Wait has returned
-// — with no other synchronisation — the three totals must agree
-// exactly with the number of jobs submitted, and no shard may report
-// more steals than retirements.
+// under churn: while jobs retire across workers, concurrently observed
+// totals (queue finished, per-solver done+failed+cancelled, submitted)
+// must never regress, and once the last Wait has returned — with no
+// other synchronisation — the three totals must agree exactly with the
+// number of jobs submitted, and the queue row may report no more
+// steals than retirements.
 func TestStatsCounterProperty(t *testing.T) {
-	svc := New(Config{Workers: 4, Shards: 4, QueueSize: 256})
+	svc := New(Config{Workers: 4, QueueSize: 256})
 	defer svc.Close()
 
 	const jobs = 120
@@ -105,7 +87,7 @@ func TestStatsCounterProperty(t *testing.T) {
 	}
 }
 
-// counterTotals sums a Stats read into its per-shard finished,
+// counterTotals sums a Stats read into its queue-row finished,
 // per-solver retired (done+failed+cancelled) and submitted totals.
 func counterTotals(st Stats) [3]int64 {
 	var tot [3]int64
@@ -119,98 +101,12 @@ func counterTotals(st Stats) [3]int64 {
 	return tot
 }
 
-// TestWorkStealingDrainsOtherShards pins the steal path directly: one
-// worker pinned to shard 0 must execute jobs that round-robin intake
-// placed on shards it does not own.
-func TestWorkStealingDrainsOtherShards(t *testing.T) {
-	svc := New(Config{Workers: 1, Shards: 4, QueueSize: 64})
-	defer svc.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const jobs = 12 // 3 per shard; 9 of them live on shards 1-3
-	ids := make([]string, jobs)
-	for i := range ids {
-		j, err := svc.Submit(JobSpec{Solver: "minmin", Instance: "u_c_hihi.0@64x8"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = j.ID
-	}
-	for _, id := range ids {
-		j, err := svc.Wait(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.State != StateDone {
-			t.Fatalf("job %s: state %s (error %q)", id, j.State, j.Error)
-		}
-	}
-	st := svc.Stats()
-	if st.Shards[0].Finished != jobs {
-		t.Errorf("the lone worker's shard retired %d jobs, want all %d", st.Shards[0].Finished, jobs)
-	}
-	if want := int64(jobs - jobs/4); st.Shards[0].Stolen != want {
-		t.Errorf("stolen = %d, want %d (every job not on the worker's own shard)", st.Shards[0].Stolen, want)
-	}
-}
-
-// TestWorkStealingSaturatesUnderSkew is the skewed-mix scenario: a
-// long-running job pins one worker, and the quick jobs that intake
-// keeps placing on that worker's shard must be stolen and completed by
-// the other shards' workers while the blocker still runs.
-func TestWorkStealingSaturatesUnderSkew(t *testing.T) {
-	svc := New(Config{Workers: 4, Shards: 4, QueueSize: 256})
-	defer svc.Close()
-
-	blocker, err := svc.Submit(JobSpec{Solver: "test-block", Instance: "u_c_hihi.0@64x8"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	const jobs = 64 // round-robin lands 16 on the blocked worker's shard
-	ids := make([]string, jobs)
-	for i := range ids {
-		j, err := svc.Submit(JobSpec{Solver: "minmin", Instance: "u_c_hihi.0@64x8"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = j.ID
-	}
-	for _, id := range ids {
-		j, err := svc.Wait(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.State != StateDone {
-			t.Fatalf("quick job %s: state %s (error %q)", id, j.State, j.Error)
-		}
-	}
-	// The blocker is still running: the quick mix completed around it.
-	if j, err := svc.Job(blocker.ID); err != nil || j.State != StateRunning {
-		t.Fatalf("blocker state = %v (err %v), want still running", j.State, err)
-	}
-	st := svc.Stats()
-	var stolen int64
-	for _, sh := range st.Shards {
-		stolen += sh.Stolen
-	}
-	if stolen == 0 {
-		t.Errorf("skewed mix completed with zero steals; per-shard: %+v", st.Shards)
-	}
-	if _, err := svc.Cancel(blocker.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStatsReadLockFree pins the acceptance criterion that /v1/stats
-// and /metrics are served from live atomics with no per-shard lock
-// acquisition: with EVERY shard lock and the instance-cache lock held
-// hostage, Stats() and a full metrics scrape must still return.
+// and /metrics are served from live atomics with no lock acquisition:
+// with the job-store lock and the instance-cache lock held hostage,
+// Stats() and a full metrics scrape must still return.
 func TestStatsReadLockFree(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 2, Shards: 2, QueueSize: 8})
+	svc, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8})
 
 	// Retire some work first so the counters are non-trivial.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -223,10 +119,8 @@ func TestStatsReadLockFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, sh := range svc.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
 	svc.cache.mu.Lock()
 	defer svc.cache.mu.Unlock()
 
@@ -248,14 +142,14 @@ func TestStatsReadLockFree(t *testing.T) {
 			t.Errorf("empty metrics exposition")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stats()/scrape blocked while shard locks were held — the read path takes a lock")
+		t.Fatal("Stats()/scrape blocked while the job-store lock was held — the read path takes a lock")
 	}
 }
 
 // TestListJobsFilters covers the ?state=/?limit= listing path at both
 // the Go and HTTP layers, against a mixed queued/running/terminal set.
 func TestListJobsFilters(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, Shards: 2, QueueSize: 16})
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueSize: 16})
 
 	blocker, err := svc.Submit(JobSpec{Solver: "test-block", Instance: "u_c_hihi.0@64x8"})
 	if err != nil {
@@ -309,12 +203,54 @@ func TestListJobsFilters(t *testing.T) {
 	}
 }
 
-// TestShardStormRace is the -race soak of the sharded core: submits,
-// cancels, stats reads, listings and scrapes hammer every shard at
-// once, then Shutdown races the storm. Every accepted job must end
-// terminal.
-func TestShardStormRace(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 4, Shards: 4, QueueSize: 64})
+// TestDispatchFIFO pins the run queue's dispatch order: with the lone
+// worker held by a blocker, queued jobs must start in submit order
+// once it is released.
+func TestDispatchFIFO(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueSize: 16})
+
+	blocker, err := svc.Submit(JobSpec{Solver: "test-block", Instance: "u_c_hihi.0@64x8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollState(t, ts.URL, blocker.ID, 5*time.Second, func(j jobJSON) bool { return j.State == StateRunning })
+	ids := make([]string, 8)
+	for i := range ids {
+		j, err := svc.Submit(JobSpec{Solver: "minmin", Instance: "u_c_hihi.0@64x8"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = j.ID
+	}
+	if _, err := svc.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var prev Job
+	for i, id := range ids {
+		j, err := svc.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("job %s: state %s (error %q)", id, j.State, j.Error)
+		}
+		if i > 0 && j.StartedAt.Before(prev.FinishedAt) {
+			t.Errorf("job %d (%s) started at %v, before job %d (%s) finished at %v",
+				i, id, j.StartedAt, i-1, prev.ID, prev.FinishedAt)
+		}
+		prev = j
+	}
+}
+
+// TestServiceStormRace is the -race soak of the service core: submits,
+// cancels, stats reads, listings and scrapes hammer the job store and
+// the run queue at once, then Shutdown races the storm. Every accepted
+// job must end terminal.
+func TestServiceStormRace(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 4, QueueSize: 64})
 
 	var (
 		mu       sync.Mutex

@@ -1,20 +1,18 @@
 // Package service turns the solver library into a long-running
 // scheduling service: clients submit solve jobs (an ETC instance spec
 // or an inline matrix, a registered solver name, and a budget), jobs
-// land on per-shard bounded queues, and a fixed pool of workers
+// land on one bounded FIFO run queue, and a fixed pool of workers
 // executes them through solver.Lookup with a per-job context, so
 // cancellation and deadlines ride the shared budget engine.
 //
-// The core is sharded for multi-core scale: each shard owns a local
-// job store, a local run queue and local stats counters, and every
-// job's ID carries its shard index, so the Submit→dispatch→finish hot
-// path and all by-ID lookups touch only shard-local state. Idle
-// workers steal queued jobs from loaded neighbors so a skewed submit
-// mix still saturates every shard. Workers add each job they retire
-// to atomic counters (per shard, and per solver name server-wide);
-// /v1/stats and /metrics sum those counters at read time, with zero
-// lock acquisition on the read path. Each counter is individually
-// monotone, and a job is in every counter once Wait on it returns.
+// The core is one mutex-guarded job store and one buffered channel:
+// Submit assigns a sequential job ID, records the job and sends it on
+// the channel while holding the store's lock, and every worker ranges
+// over the channel. Workers add each job they retire to atomic
+// counters (service-wide, and per solver name); /v1/stats and /metrics
+// load those counters at read time, with zero lock acquisition on the
+// read path. Each counter is individually monotone, and a job is in
+// every counter once Wait on it returns.
 //
 // Around that core the package provides a job manager with stable job
 // IDs and a queued → running → done/failed/cancelled lifecycle, result
@@ -31,6 +29,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -67,16 +66,12 @@ var (
 // falls back to the default documented on it.
 type Config struct {
 	// Workers is the number of concurrent solve workers (default
-	// GOMAXPROCS). Each worker runs one job at a time, pinned to a home
-	// shard (worker i → shard i mod Shards).
+	// GOMAXPROCS). Each worker runs one job at a time, taking jobs off
+	// the shared run queue in submit order.
 	Workers int
-	// Shards is the number of service shards — independent job stores,
-	// run queues and stats counters (default min(Workers, GOMAXPROCS),
-	// floored at 1). More shards than workers is allowed; the extra
-	// queues are served by stealing.
-	Shards int
-	// QueueSize bounds the total queued jobs across all shards; submits
-	// beyond it fail with ErrQueueFull (default 64).
+	// QueueSize is the run queue's capacity; submits beyond it fail
+	// with ErrQueueFull (default 64). A job cancelled while queued
+	// holds its slot until a worker drains it.
 	QueueSize int
 	// ResultTTL is how long a finished job (done, failed or cancelled)
 	// stays retrievable before the janitor evicts it (default 15 min).
@@ -127,12 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Shards <= 0 {
-		c.Shards = min(c.Workers, runtime.GOMAXPROCS(0))
-		if c.Shards < 1 {
-			c.Shards = 1
-		}
-	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
 	}
@@ -157,11 +146,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the scheduling service: sharded job stores and run queues,
-// a pinned worker pool with work stealing, lock-free stats counters
-// and an instance cache behind one embeddable API. Create it with New,
-// submit with Submit, and stop it with Shutdown. All methods are safe
-// for concurrent use.
+// Server is the scheduling service: a job store, one bounded run
+// queue drained by a worker pool, lock-free stats counters and an
+// instance cache behind one embeddable API. Create it with New, submit
+// with Submit, and stop it with Shutdown. All methods are safe for
+// concurrent use.
 type Server struct {
 	cfg   Config
 	cache *instanceCache
@@ -172,12 +161,20 @@ type Server struct {
 	baseCtx context.Context // parent of every job context
 	stop    context.CancelFunc
 
-	shards    []*shard
-	nextShard atomic.Uint64 // round-robin intake cursor
-	queueLen  atomic.Int64  // occupied queue slots across all shards
-	wake      chan struct{} // one token per pending wakeup, up to Workers
-	drainCh   chan struct{} // closed by BeginDrain; wakes sleeping workers
-	closed    atomic.Bool
+	// queue is the run queue; workers range over it. Its capacity,
+	// QueueSize, is the backpressure bound Submit enforces. Only Submit
+	// sends, and BeginDrain closes it, both holding mu.
+	queue chan *job
+
+	// mu guards the job store and orders every send on queue before
+	// the close. closed is written under mu and read lock-free by
+	// Draining.
+	mu     sync.Mutex
+	closed atomic.Bool
+	seq    uint64
+	jobs   map[string]*job
+
+	gauges gauges
 
 	workers sync.WaitGroup
 	janitor sync.WaitGroup
@@ -189,6 +186,20 @@ type Server struct {
 	// keys, not registry indices, because schemes such as
 	// "portfolio:pa-cga+tabu" resolve to names at Submit time.
 	solvers sync.Map
+}
+
+// gauges are the live job counters, updated on job state transitions
+// and read lock-free by Stats and the /metrics gauge funcs. They are
+// tied to the job state machine (a job cancelled while queued leaves
+// `queued` even though it still occupies a queue slot), so the gauges
+// can never drift from the states the job API reports.
+type gauges struct {
+	queued    atomic.Int64
+	running   atomic.Int64
+	retained  atomic.Int64
+	peakDepth atomic.Int64 // high-water mark of queued
+	submitted atomic.Int64
+	finished  atomic.Int64 // jobs retired by the workers
 }
 
 // New starts a Server: its worker pool and retention janitor run until
@@ -203,17 +214,13 @@ func New(cfg Config) *Server {
 		start:   time.Now(),
 		baseCtx: ctx,
 		stop:    cancel,
-		shards:  make([]*shard, cfg.Shards),
-		wake:    make(chan struct{}, cfg.Workers),
-		drainCh: make(chan struct{}),
-	}
-	for i := range s.shards {
-		s.shards[i] = newShard(i)
+		queue:   make(chan *job, cfg.QueueSize),
+		jobs:    make(map[string]*job),
 	}
 	s.met = newServerMetrics(s)
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.runWorker(i % cfg.Shards)
+		go s.runWorker()
 	}
 	s.janitor.Add(1)
 	go s.sweepLoop()
@@ -223,10 +230,10 @@ func New(cfg Config) *Server {
 // Config returns the effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Submit validates the spec, assigns a job ID and enqueues the job on
-// a shard. It fails fast: an unknown solver or a bad instance spec is
-// reported here (never as a failed job), and a full queue returns
-// ErrQueueFull so callers can apply backpressure.
+// Submit validates the spec, assigns a job ID and enqueues the job.
+// It fails fast: an unknown solver or a bad instance spec is reported
+// here (never as a failed job), and a full queue returns ErrQueueFull
+// so callers can apply backpressure.
 func (s *Server) Submit(spec JobSpec) (Job, error) {
 	j, err := s.submit(spec)
 	if err != nil {
@@ -259,61 +266,42 @@ func (s *Server) submit(spec JobSpec) (Job, error) {
 	if spec.Seed != 0 {
 		sv = solver.WithSeed(sv, spec.Seed)
 	}
-	if s.closed.Load() {
-		return Job{}, ErrClosed
-	}
-	// Reserve a queue slot before touching any shard: the bound is
-	// service-wide, checked with one atomic add, and released on every
-	// reject path below.
-	if s.queueLen.Add(1) > int64(s.cfg.QueueSize) {
-		s.queueLen.Add(-1)
-		return Job{}, ErrQueueFull
-	}
-	idx := int(s.nextShard.Add(1)-1) % len(s.shards)
-	sh := s.shards[idx]
-	j := newJob(spec, sv, inst, budget, s.baseCtx, sh)
+	j := newJob(spec, sv, inst, budget, s.baseCtx, &s.gauges)
 
-	sh.mu.Lock()
-	// Re-check under the shard lock: BeginDrain sets closed and then
-	// passes through every shard's lock, so a submit that got past this
-	// check has its job enqueued before the drain fence completes — the
-	// set of accepted jobs is closed once BeginDrain returns.
+	s.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
-		s.queueLen.Add(-1)
+		s.mu.Unlock()
 		j.release()
 		return Job{}, ErrClosed
 	}
-	sh.seq++
-	j.id = jobID(idx, sh.seq)
-	sh.jobs[j.id] = j
-	sh.submitted.Add(1)
-	sh.retained.Add(1)
-	sh.noteQueued()
-	sh.q = append(sh.q, j)
-	sh.mu.Unlock()
-
-	// Wake one idle worker. It scans its home shard and then steals, so
-	// any worker can serve the job. A full channel already holds a token
-	// for every worker, so a failed send loses no wakeup.
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if len(s.queue) == cap(s.queue) {
+		s.mu.Unlock()
+		j.release()
+		return Job{}, ErrQueueFull
 	}
+	s.seq++
+	j.seq = s.seq
+	j.id = fmt.Sprintf("j%08d", s.seq)
+	s.jobs[j.id] = j
+	s.gauges.submitted.Add(1)
+	s.gauges.retained.Add(1)
+	storeMax(&s.gauges.peakDepth, s.gauges.queued.Add(1))
+	// Only Submit sends, and it holds mu, so the queue cannot have
+	// filled since the length check: the send never blocks.
+	select {
+	case s.queue <- j:
+	default:
+		panic("service: run queue filled under mu")
+	}
+	s.mu.Unlock()
 	return j.snapshot(), nil
 }
 
-// lookupJob routes a job ID to its owning shard (the shard index rides
-// in the ID prefix) and returns the live record.
+// lookupJob returns the live record behind a job ID.
 func (s *Server) lookupJob(id string) (*job, bool) {
-	idx, ok := parseShardID(id)
-	if !ok || idx >= len(s.shards) {
-		return nil, false
-	}
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	j, ok := sh.jobs[id]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	return j, ok
 }
 
@@ -354,28 +342,21 @@ func (s *Server) Jobs() []Job {
 
 // ListJobs snapshots retained jobs newest first, optionally filtered
 // by state ("" matches every state) and truncated to limit (0 means
-// unlimited). Matching runs per shard and snapshots are built only for
-// jobs that survive the filter and the cut, so listing a few jobs out
-// of a large retained set no longer copies everything under a lock.
+// unlimited). Snapshots are built only for jobs that survive the
+// filter and the cut, so listing a few jobs out of a large retained
+// set does not copy everything under a lock.
 func (s *Server) ListJobs(state JobState, limit int) []Job {
 	var matched []*job
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			if state == "" || j.state() == state {
-				matched = append(matched, j)
-			}
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		if state == "" || j.state() == state {
+			matched = append(matched, j)
 		}
-		sh.mu.Unlock()
 	}
-	// submitted and id are immutable after publication, so ordering and
-	// cutting need no locks; only the survivors pay for a snapshot.
-	sort.Slice(matched, func(a, b int) bool {
-		if !matched[a].submitted.Equal(matched[b].submitted) {
-			return matched[a].submitted.After(matched[b].submitted)
-		}
-		return matched[a].id > matched[b].id
-	})
+	s.mu.Unlock()
+	// seq is immutable after publication, so ordering and cutting need
+	// no locks; only the survivors pay for a snapshot.
+	sort.Slice(matched, func(a, b int) bool { return matched[a].seq > matched[b].seq })
 	if limit > 0 && len(matched) > limit {
 		matched = matched[:limit]
 	}
@@ -402,7 +383,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 
 // Stats returns the service-level and per-solver counters, each loaded
 // from its live atomic. It acquires no lock — safe to call at any
-// scrape rate regardless of what the shards are doing. Every counter
+// scrape rate regardless of what the job store is doing. Every counter
 // is individually monotone, and a job is in every counter once Wait on
 // it has returned; the Stats type says what a read under load shows.
 func (s *Server) Stats() Stats {
@@ -422,23 +403,18 @@ func (s *Server) Stats() Stats {
 	if db := s.cfg.InstanceDB; db != nil {
 		st.StoreInstances = db.Len()
 	}
-	st.Shards = make([]ShardStats, len(s.shards))
-	for i, sh := range s.shards {
-		q, r, ret := sh.queued.Load(), sh.running.Load(), sh.retained.Load()
-		st.Queued += int(q)
-		st.Running += int(r)
-		st.Retained += int(ret)
-		st.Shards[i] = ShardStats{
-			Shard:          i,
-			Submitted:      sh.submitted.Load(),
-			Finished:       sh.finished.Load(),
-			Stolen:         sh.stolen.Load(),
-			Queued:         int(q),
-			Running:        int(r),
-			Retained:       int(ret),
-			QueueDepthPeak: int(sh.peakDepth.Load()),
-		}
-	}
+	g := &s.gauges
+	st.Queued = int(g.queued.Load())
+	st.Running = int(g.running.Load())
+	st.Retained = int(g.retained.Load())
+	st.Shards = []ShardStats{{
+		Submitted:      g.submitted.Load(),
+		Finished:       g.finished.Load(),
+		Queued:         st.Queued,
+		Running:        st.Running,
+		Retained:       st.Retained,
+		QueueDepthPeak: int(g.peakDepth.Load()),
+	}}
 	return st
 }
 
@@ -447,18 +423,15 @@ func (s *Server) Stats() Stats {
 // running jobs continue. Call it before stopping an HTTP frontend so
 // in-flight clients observe the draining state; Shutdown calls it
 // implicitly. Idempotent. When BeginDrain returns, no further job can
-// be accepted: the pass through every shard lock fences out any submit
-// that raced the closed flag.
+// be accepted: closed is set and the queue closed under mu, so every
+// submit either enqueued before the fence or sees closed.
 func (s *Server) BeginDrain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed.Swap(true) {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		//lint:ignore SA2001 the empty critical section is the fence
-		sh.mu.Unlock()
-	}
-	close(s.drainCh)
+	close(s.queue)
 }
 
 // Shutdown drains the service: submits are refused, queued jobs still
@@ -520,20 +493,16 @@ func (s *Server) sweepLoop() {
 // evictExpired drops every terminal job finished before the retention
 // cutoff — except jobs still occupying a queue slot (cancelled while
 // queued, not yet drained by a worker), which stay until dequeued so
-// the worker never retires a ghost the store no longer knows. Each
-// shard is swept under its own lock; the janitor never stalls the
-// whole service.
+// the worker never retires a ghost the store no longer knows.
 func (s *Server) evictExpired(now time.Time) {
 	cutoff := now.Add(-s.cfg.ResultTTL)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id, j := range sh.jobs {
-			if j.evictable(cutoff) {
-				delete(sh.jobs, id)
-				sh.retained.Add(-1)
-				s.evicted.Add(1)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, j := range s.jobs {
+		if j.evictable(cutoff) {
+			delete(s.jobs, id)
+			s.gauges.retained.Add(-1)
+			s.evicted.Add(1)
 		}
-		sh.mu.Unlock()
 	}
 }

@@ -328,6 +328,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 	pollState(t, ts.URL, queued.ID, 10*time.Second, func(j jobJSON) bool { return j.State == StateDone })
 }
 
+// unknownIDs are job IDs no server hands out: an unissued sequence
+// number and malformed strings a client could send. Every by-ID
+// operation must answer them with ErrNotFound (404 over HTTP).
+var unknownIDs = []string{"j99999999", "", "j", "x0-00000001", "j-1-00000001", "nope"}
+
 // TestSubmitValidation exercises the fail-fast paths: bad solver, bad
 // instance, conflicting and missing instance specs.
 func TestSubmitValidation(t *testing.T) {
@@ -352,8 +357,13 @@ func TestSubmitValidation(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"solver":"minmin","instance":"u_c_hihi.0","budget":{"max_duration":"xyz"}}`, nil); code != http.StatusBadRequest {
 		t.Errorf("bad duration over HTTP: status %d, want 400", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j99999999", "", nil); code != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", code)
+	for _, id := range unknownIDs {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, "", nil); code != http.StatusNotFound {
+			t.Errorf("GET unknown job %q: status %d, want 404", id, code)
+		}
+		if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+id, "", nil); code != http.StatusNotFound {
+			t.Errorf("DELETE unknown job %q: status %d, want 404", id, code)
+		}
 	}
 
 	// An inline matrix solves end to end.
@@ -561,8 +571,16 @@ func TestWait(t *testing.T) {
 		t.Fatalf("re-Wait: %v, %v", again.State, err)
 	}
 
-	if _, err := svc.Wait(ctx, "j99999999"); err != ErrNotFound {
-		t.Fatalf("Wait on unknown id: %v, want ErrNotFound", err)
+	for _, id := range unknownIDs {
+		if _, err := svc.Wait(ctx, id); err != ErrNotFound {
+			t.Fatalf("Wait on unknown id %q: %v, want ErrNotFound", id, err)
+		}
+		if _, err := svc.Job(id); err != ErrNotFound {
+			t.Fatalf("Job on unknown id %q: %v, want ErrNotFound", id, err)
+		}
+		if _, err := svc.Cancel(id); err != ErrNotFound {
+			t.Fatalf("Cancel on unknown id %q: %v, want ErrNotFound", id, err)
+		}
 	}
 
 	// Occupy the single worker, queue a victim behind it, and cancel the

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,12 +24,11 @@ type SolverStats struct {
 	EvalsPerSecond float64
 }
 
-// ShardStats is one shard's slice of the service: live occupancy
-// gauges plus cumulative retirement counters.
-// Submitted counts jobs placed on this shard at intake; Finished
-// counts jobs retired by this shard's workers (a stolen job counts on
-// the thief, which is what makes imbalance visible); Stolen is the
-// subset of Finished taken from another shard's queue.
+// ShardStats describes the one run queue: live occupancy gauges plus
+// cumulative intake and retirement counters. It is kept as the single
+// row of Stats.Shards for readers of the former per-shard breakdown;
+// Shard is always 0 and Stolen always 0, since there is no other queue
+// to take jobs from.
 type ShardStats struct {
 	Shard          int
 	Submitted      int64
@@ -42,7 +42,7 @@ type ShardStats struct {
 
 // Stats is a snapshot of the service's live atomic counters, read one
 // by one with no lock. Each counter is monotone (the gauges aside) but
-// the set is not read atomically, so under load per-shard and
+// the set is not read atomically, so under load the queue's and the
 // per-solver totals can differ by jobs retiring mid-read. A job is in
 // every counter once Wait on it has returned.
 type Stats struct {
@@ -70,7 +70,8 @@ type Stats struct {
 	StoreInstances int
 
 	Solvers []SolverStats
-	Shards  []ShardStats
+	// Shards holds one row, the run queue's ShardStats.
+	Shards []ShardStats
 }
 
 // deriveSolverStats turns one solver's raw counters into the public
@@ -112,4 +113,46 @@ func safeRate(n, sec float64) float64 {
 		return r
 	}
 	return 0
+}
+
+// storeMax raises a to v unless it already holds at least v.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		p := a.Load()
+		if v <= p || a.CompareAndSwap(p, v) {
+			return
+		}
+	}
+}
+
+// solverCounters aggregates the retired jobs of one solver name.
+// Workers add to it as they retire jobs and readers load each field
+// on its own, so every counter is monotone and no read takes a lock.
+type solverCounters struct {
+	done, failed, cancelled atomic.Int64
+	evaluations             atomic.Int64
+	busy                    atomic.Int64 // ns
+	maxLatency              atomic.Int64 // ns
+	ran                     atomic.Int64
+}
+
+// fold adds one retired job's snapshot to the counters.
+func (c *solverCounters) fold(j Job) {
+	switch j.State {
+	case StateDone:
+		c.done.Add(1)
+	case StateFailed:
+		c.failed.Add(1)
+	case StateCancelled:
+		c.cancelled.Add(1)
+	}
+	if !j.StartedAt.IsZero() && !j.FinishedAt.IsZero() {
+		latency := int64(j.FinishedAt.Sub(j.StartedAt))
+		c.busy.Add(latency)
+		c.ran.Add(1)
+		storeMax(&c.maxLatency, latency)
+	}
+	if j.Result != nil {
+		c.evaluations.Add(j.Result.Evaluations)
+	}
 }

@@ -2,63 +2,22 @@ package service
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 
 	"gridsched/internal/solver"
 )
 
-// runWorker is one solve worker, pinned to home shard `home`. It
-// drains its own shard's queue first and steals from loaded neighbors
-// when home is empty, sleeping on the server's wake channel when the
-// whole service is idle.
-func (s *Server) runWorker(home int) {
+// runWorker is one solve worker. It takes jobs off the run queue in
+// submit order and exits once BeginDrain has closed the queue and the
+// queue is empty.
+func (s *Server) runWorker() {
 	defer s.workers.Done()
-	sh := s.shards[home]
-	for {
-		if j, from := s.dequeue(home); j != nil {
-			s.execute(j, sh, from != home)
-			continue
-		}
-		if s.closed.Load() {
-			if s.queueLen.Load() == 0 {
-				return
-			}
-			// Slots are still occupied but mid-pop by another worker;
-			// yield and re-scan rather than sleeping on channels no
-			// submit will ever signal again.
-			runtime.Gosched()
-			continue
-		}
-		select {
-		case <-s.wake:
-		case <-s.drainCh:
-		}
+	for j := range s.queue {
+		s.execute(j)
 	}
 }
 
-// dequeue pops the oldest job from the home shard, then scans the
-// other shards in ring order (work stealing). It returns the job and
-// the shard it came from, or nil when every queue is empty.
-func (s *Server) dequeue(home int) (*job, int) {
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		idx := home + off
-		if idx >= n {
-			idx -= n
-		}
-		if j := s.shards[idx].pop(); j != nil {
-			s.queueLen.Add(-1)
-			return j, idx
-		}
-	}
-	return nil, -1
-}
-
-// execute runs one dequeued job to retirement. `by` is the executing
-// worker's home shard — the per-shard retirement counters land there
-// (not on the job's owning shard), so a stolen job counts on the
-// thief; stolen marks a job taken from another shard's queue.
+// execute runs one dequeued job to retirement.
 //
 // A job cancelled while queued is retired without running — including
 // one whose context a forced shutdown (or a client Cancel racing the
@@ -68,7 +27,7 @@ func (s *Server) dequeue(home int) (*job, int) {
 // terminal state, its retirement is folded into the stats counters and
 // metrics BEFORE its waiters are released, so a Wait-then-read of any
 // counter observes the finished job.
-func (s *Server) execute(j *job, by *shard, stolen bool) {
+func (s *Server) execute(j *job) {
 	j.markDequeued()
 	j.timeline.Mark("dispatched")
 	if j.ctx.Err() != nil {
@@ -79,7 +38,7 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 		s.met.busy.Add(1)
 		s.log.Info("job started",
 			"job_id", j.id, "solver", j.spec.Solver, "instance", j.inst.Name,
-			"request_id", j.spec.RequestID, "shard", j.home.idx, "worker_shard", by.idx)
+			"request_id", j.spec.RequestID)
 		var res *solver.Result
 		var err error
 		res, err, panicked = s.solve(j)
@@ -90,17 +49,11 @@ func (s *Server) execute(j *job, by *shard, stolen bool) {
 	// stats counters and the event metrics.
 	snap := j.snapshot()
 	s.counters(j.spec.Solver).fold(snap)
-	by.finished.Add(1)
-	if stolen {
-		by.stolen.Add(1)
-	}
+	s.gauges.finished.Add(1)
 	s.met.finished.With(finishLabel(snap.State, panicked)).Inc()
 	attrs := []any{
 		"job_id", j.id, "solver", j.spec.Solver, "instance", j.inst.Name,
 		"request_id", j.spec.RequestID, "state", string(snap.State),
-	}
-	if stolen {
-		attrs = append(attrs, "stolen_by_shard", by.idx)
 	}
 	if !snap.StartedAt.IsZero() && !snap.FinishedAt.IsZero() {
 		latency := snap.FinishedAt.Sub(snap.StartedAt)

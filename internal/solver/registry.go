@@ -93,3 +93,24 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
+
+// Info pairs a registry name with its one-line description.
+type Info struct {
+	Name        string `json:"name"`
+	Description string `json:"description"`
+}
+
+// List describes every registered solver, sorted by name — the shared
+// source for the CLI and HTTP listings.
+func List() []Info {
+	names := Names()
+	infos := make([]Info, 0, len(names))
+	for _, name := range names {
+		s, err := Lookup(name)
+		if err != nil {
+			continue // unregistered concurrently; skip rather than fail a listing
+		}
+		infos = append(infos, Info{Name: name, Description: s.Describe()})
+	}
+	return infos
+}

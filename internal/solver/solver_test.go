@@ -183,6 +183,18 @@ func TestRegistry(t *testing.T) {
 	if ia < 0 || ib < 0 || ia > ib {
 		t.Fatalf("Names() = %v not sorted or missing stubs", names)
 	}
+	list := List()
+	if len(list) != len(names) {
+		t.Fatalf("List() has %d entries, Names() %d", len(list), len(names))
+	}
+	for i, info := range list {
+		if info.Name != names[i] {
+			t.Fatalf("List()[%d].Name = %q, want %q", i, info.Name, names[i])
+		}
+	}
+	if list[ia].Description != "stub" {
+		t.Errorf("List() describes stub-a as %q, want %q", list[ia].Description, "stub")
+	}
 
 	defer func() {
 		if recover() == nil {
