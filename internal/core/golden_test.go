@@ -75,3 +75,43 @@ func TestPACGAGoldenFingerprint(t *testing.T) {
 		})
 	}
 }
+
+// TestSyncCGAGoldenFingerprint pins the synchronous cellular GA's
+// trajectory the same way (Table 1 parameters, 5000 evaluations; the
+// model is single-threaded whatever Params.Threads says). It is the
+// bit-identity referee for the breeding step SyncCGA shares with
+// PA-CGA: the same RNG draws in the same order must give these rows.
+func TestSyncCGAGoldenFingerprint(t *testing.T) {
+	golden := []struct {
+		instance      string
+		makespanBits  uint64
+		lsMoves       int64
+		assignmentFNV uint64
+	}{
+		{"u_c_hihi.0", 0x415ca14f477e3756, 38747, 0x492f5089e9f42147},
+		{"u_i_hilo.0", 0x40f1fe887d0a623b, 40705, 0x361b142858451dc1},
+		{"u_s_lohi.0", 0x410231cc9b3e9c1d, 40926, 0x7122b4fd78190a4a},
+		{"u_c_lolo.0", 0x40b4d3baa28bd454, 37967, 0xe6f3e6ad20301860},
+		{"u_c_hihi.0@64x8", 0x41451fe64193532f, 25073, 0x8d1856830f2936a1},
+		{"u_i_hilo.0@64x8", 0x40d86fa0faf4dcce, 28726, 0x1c084b3f2dcbd581},
+		{"u_s_lohi.0@64x8", 0x40f13257868c7423, 28847, 0x6ee14a1d0147286},
+		{"u_c_lolo.0@64x8", 0x40967a2e3b71fea5, 25067, 0x2b72e94978158100},
+	}
+	for _, g := range golden {
+		t.Run(g.instance, func(t *testing.T) {
+			in, err := etc.GenerateByName(g.instance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := runSync(in, DefaultParams(), solver.Budget{MaxEvaluations: 5000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits, h := math.Float64bits(res.BestFitness), goldenHash(res.Best)
+			if bits != g.makespanBits || res.LocalSearchMoves != g.lsMoves || h != g.assignmentFNV {
+				t.Errorf("fingerprint {%q, %#x, %d, %#x}, want {%#x, %d, %#x}",
+					g.instance, bits, res.LocalSearchMoves, h, g.makespanBits, g.lsMoves, g.assignmentFNV)
+			}
+		})
+	}
+}
