@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), plus the ablation benches called out in DESIGN.md.
+// evaluation (§4), plus the ablation benches whose numbers the README's
+// "Performance & evaluation engine" section reports.
 // Budgets are scaled down so `go test -bench=.` finishes on a laptop;
 // the cmd/experiments binary runs the same experiments at any scale.
 package gridsched
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"gridsched/internal/core"
 	"gridsched/internal/operators"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
@@ -194,29 +194,6 @@ func BenchmarkFig6Convergence(b *testing.B) {
 				}
 			}
 			b.ReportMetric(final/float64(b.N), "mean-makespan")
-		})
-	}
-}
-
-// --- Ablation 2: locking strategy ---
-
-// BenchmarkLockingStrategy compares the paper's per-individual RW locks
-// against a per-individual plain mutex and one global mutex, at 4
-// threads and a fixed evaluation budget; throughput differences show how
-// much the shared-read design buys.
-func BenchmarkLockingStrategy(b *testing.B) {
-	in := benchInstance(b, "u_c_hihi.0")
-	for _, mode := range []core.LockMode{core.PerCellRWMutex, core.PerCellMutex, core.GlobalMutex} {
-		b.Run(mode.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := DefaultParams()
-				p.Threads = 4
-				p.LockMode = mode
-				p.Seed = uint64(i)
-				if _, err := (PACGA{Params: p}).Solve(context.Background(), in, Budget{MaxEvaluations: 4000}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -108,7 +108,7 @@ func (s GenerationalSolver) Solve(ctx context.Context, inst *etc.Instance, b sol
 	}
 	ls := operators.H2LL{Iterations: cfg.LSIters}
 
-	var gens int64
+	var gens, lsMoves int64
 	var conv, div []float64
 	tournament := func() int {
 		best := r.Intn(cfg.PopSize)
@@ -168,7 +168,7 @@ loop:
 				cfg.Mutation.Mutate(child, r)
 			}
 			if cfg.LSIters > 0 {
-				ls.Apply(child, r)
+				lsMoves += int64(ls.Apply(child, r))
 			}
 			nextFit[slot] = child.Makespan()
 			eng.AddEvals(1)
@@ -192,15 +192,16 @@ loop:
 	best := bestIdx()
 	eng.Finish(fit[best])
 	return &solver.Result{
-		Best:            pop[best].Clone(),
-		BestFitness:     fit[best],
-		Evaluations:     eng.Evals(),
-		Generations:     gens,
-		PerThread:       []int64{gens},
-		Duration:        eng.Elapsed(),
-		EffectiveBudget: eng.EffectiveBudget(),
-		Convergence:     conv,
-		Diversity:       div,
+		Best:             pop[best].Clone(),
+		BestFitness:      fit[best],
+		Evaluations:      eng.Evals(),
+		LocalSearchMoves: lsMoves,
+		Generations:      gens,
+		PerThread:        []int64{gens},
+		Duration:         eng.Elapsed(),
+		EffectiveBudget:  eng.EffectiveBudget(),
+		Convergence:      conv,
+		Diversity:        div,
 	}, nil
 }
 

@@ -113,6 +113,22 @@ func TestGenerationalWithLocalSearch(t *testing.T) {
 	}
 }
 
+// TestGenerationalCountsLocalSearchMoves checks that LSIters > 0 reports
+// H2LL's improving moves in Result.LocalSearchMoves, and that a run
+// without local search reports none.
+func TestGenerationalCountsLocalSearchMoves(t *testing.T) {
+	in := testInstance(t, 26)
+	for _, iters := range []int{0, 10} {
+		res, err := generational(in, GenerationalConfig{Seed: 11, PopSize: 64, LSIters: iters}, solver.Budget{MaxEvaluations: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.LocalSearchMoves > 0; got != (iters > 0) {
+			t.Fatalf("LSIters %d: LocalSearchMoves %d", iters, res.LocalSearchMoves)
+		}
+	}
+}
+
 func TestGenerationalDiversityRecordingDecreases(t *testing.T) {
 	in := testInstance(t, 27)
 	res, err := generational(in, GenerationalConfig{Seed: 13, PopSize: 64, RecordDiversity: true, RecordConvergence: true}, solver.Budget{MaxGenerations: 25})

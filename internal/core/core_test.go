@@ -73,9 +73,6 @@ func TestDefaultParamsMatchTable1(t *testing.T) {
 	if p.Replacement != operators.ReplaceIfBetter {
 		t.Fatal("replacement not replace-if-better")
 	}
-	if p.Sweep != topology.LineSweep {
-		t.Fatal("sweep not line sweep")
-	}
 	if p.Threads < 1 || p.Threads > 4 {
 		t.Fatalf("threads %d outside the paper's 1..4 range", p.Threads)
 	}
@@ -98,7 +95,6 @@ func TestRunParamValidation(t *testing.T) {
 		func(p *Params) { p.CrossProb = 1.5 },
 		func(p *Params) { p.MutProb = -0.1 },
 		func(p *Params) { p.LocalProb = 2 },
-		func(p *Params) { p.LockMode = NoLock; p.Threads = 2 },
 	}
 	for i, mutate := range bad {
 		p := DefaultParams()
@@ -211,18 +207,14 @@ func TestRunBestMatchesSchedule(t *testing.T) {
 	}
 }
 
-func TestRunMultiThreadedAllLockModes(t *testing.T) {
+func TestRunMultiThreaded(t *testing.T) {
 	in := testInstance(t, 8)
-	for _, mode := range []LockMode{PerCellRWMutex, PerCellMutex, GlobalMutex} {
-		p := smallParams(4, 11)
-		p.LockMode = mode
-		res, err := run(in, p, smallBudget)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if err := res.Best.Validate(); err != nil {
-			t.Fatalf("mode %v: corrupt best schedule: %v", mode, err)
-		}
+	res, err := run(in, smallParams(4, 11), smallBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Best.Validate(); err != nil {
+		t.Fatalf("corrupt best schedule: %v", err)
 	}
 }
 
@@ -335,17 +327,6 @@ func TestRunAllCrossovers(t *testing.T) {
 		}
 		if err := res.Best.Validate(); err != nil {
 			t.Fatalf("%s: %v", cx.Name(), err)
-		}
-	}
-}
-
-func TestRunSweepPolicies(t *testing.T) {
-	in := testInstance(t, 15)
-	for _, sw := range []topology.SweepPolicy{topology.LineSweep, topology.FixedRandomSweep, topology.NewRandomSweep} {
-		p := smallParams(2, 37)
-		p.Sweep = sw
-		if _, err := run(in, p, smallBudget); err != nil {
-			t.Fatalf("%v: %v", sw, err)
 		}
 	}
 }
@@ -503,7 +484,7 @@ func TestRunSyncDiversityRecording(t *testing.T) {
 
 func TestBlockDiversityBounds(t *testing.T) {
 	in := testInstance(t, 27)
-	pop := newPopulation(in, 16, rngForTest(1), false, nil, NoLock, func(s *schedule.Schedule) float64 { return s.Makespan() })
+	pop := newPopulation(in, 16, rngForTest(1), false, nil, func(s *schedule.Schedule) float64 { return s.Makespan() })
 	_, d := pop.blockDiversity(0, 16, nil)
 	if d <= 0 || d >= 1 {
 		t.Fatalf("random population diversity %v", d)
@@ -575,20 +556,6 @@ func TestFlowtimeObjectiveFitnessSemantics(t *testing.T) {
 	want := 0.5*res.Best.Makespan() + 0.5*res.Best.Flowtime()/float64(in.T)
 	if diff := res.BestFitness - want; diff > 1e-6*want || diff < -1e-6*want {
 		t.Fatalf("BestFitness %v, want weighted objective %v", res.BestFitness, want)
-	}
-}
-
-func TestLockModeString(t *testing.T) {
-	names := map[LockMode]string{
-		PerCellRWMutex: "rwmutex",
-		PerCellMutex:   "mutex",
-		GlobalMutex:    "global",
-		NoLock:         "none",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Fatalf("LockMode %d string %q, want %q", int(m), m.String(), want)
-		}
 	}
 }
 

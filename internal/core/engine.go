@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/operators"
@@ -46,7 +45,7 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
-	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.LockMode, p.fitness)
+	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.fitness)
 
 	eng := solver.NewEngine(ctx, b)
 	eng.AddEvals(int64(pop.size())) // initial_evaluation of Algorithm 2
@@ -56,26 +55,17 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 		_, f := pop.best()
 		eng.Observe(f)
 	}
-	var lsMoves atomic.Int64
 
 	workers := make([]*worker, p.Threads)
 	for i := range workers {
-		workers[i] = &worker{
+		w := &worker{
+			breeder: newBreeder(inst, grid, pop, &p, root.Split(uint64(i)+1), eng),
 			id:      i,
 			block:   blocks[i],
-			grid:    grid,
-			pop:     pop,
-			params:  &p,
-			r:       root.Split(uint64(i) + 1),
-			eng:     eng,
-			lsMoves: &lsMoves,
-			p1:      schedule.New(inst),
-			p2:      schedule.New(inst),
 			child:   schedule.New(inst),
-			neigh:   make([]int, 0, p.Neighborhood.Size()),
-			cands:   make([]operators.Candidate, 0, p.Neighborhood.Size()),
 		}
-		workers[i].sweeper = topology.NewSweeper(p.Sweep, blocks[i], workers[i].r.Split(0))
+		w.r.Uint64() // the draw the retired sweep-order Split took: dropping it moves every trajectory
+		workers[i] = w
 	}
 
 	var wg sync.WaitGroup
@@ -89,15 +79,15 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 	wg.Wait()
 
 	res := &Result{
-		Evaluations:      eng.Evals(),
-		LocalSearchMoves: lsMoves.Load(),
-		Duration:         eng.Elapsed(),
-		EffectiveBudget:  eng.EffectiveBudget(),
-		PerThread:        make([]int64, len(workers)),
+		Evaluations:     eng.Evals(),
+		Duration:        eng.Elapsed(),
+		EffectiveBudget: eng.EffectiveBudget(),
+		PerThread:       make([]int64, len(workers)),
 	}
 	for i, w := range workers {
 		res.PerThread[i] = w.gens
 		res.Generations += w.gens
+		res.LocalSearchMoves += w.lsMoves
 	}
 	res.Best, res.BestFitness = pop.best()
 	eng.Finish(res.BestFitness)
@@ -110,23 +100,101 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 	return res, nil
 }
 
-// worker owns one population block, its RNG stream and its reusable
-// breeding workspaces; it implements Algorithm 3.
-type worker struct {
-	id      int
-	block   topology.Block
-	grid    topology.Grid
-	pop     *population
-	params  *Params
-	r       *rng.Rand
-	sweeper *topology.Sweeper
-	eng     *solver.Engine
-	lsMoves *atomic.Int64
+// breeder is one breeding loop's state: the shared grid and population
+// it reads, its own RNG stream and its reusable workspaces. PA-CGA's
+// workers and SyncCGA breed through the same breed method, so the two
+// models differ only in where the offspring goes.
+type breeder struct {
+	grid   topology.Grid
+	pop    *population
+	params *Params
+	r      *rng.Rand
+	eng    *solver.Engine
 
-	p1, p2, child *schedule.Schedule
-	neigh         []int
-	cands         []operators.Candidate
-	scratch       schedule.Scratch
+	p1, p2  *schedule.Schedule
+	neigh   []int
+	cands   []operators.Candidate
+	scratch schedule.Scratch
+	// lsMoves counts this breeder's improving H2LL moves; Solve sums
+	// them after the join.
+	lsMoves int64
+}
+
+func newBreeder(inst *etc.Instance, grid topology.Grid, pop *population, p *Params, r *rng.Rand, eng *solver.Engine) breeder {
+	return breeder{
+		grid:   grid,
+		pop:    pop,
+		params: p,
+		r:      r,
+		eng:    eng,
+		p1:     schedule.New(inst),
+		p2:     schedule.New(inst),
+		neigh:  make([]int, 0, p.Neighborhood.Size()),
+		cands:  make([]operators.Candidate, 0, p.Neighborhood.Size()),
+	}
+}
+
+// breed produces cell's offspring into child (Algorithm 3 lines 3–8:
+// select, recombine, mutate, local search, evaluate), counts the
+// evaluation and returns the offspring's fitness. It reads the
+// population only through its locked accessors.
+func (b *breeder) breed(cell int, child *schedule.Schedule) float64 {
+	p := b.params
+
+	// get_neighborhood: cells whose individuals may mate with this one.
+	// The neighborhood may cross block boundaries; those reads are what
+	// the per-individual locks protect.
+	b.neigh = p.Neighborhood.Neighbors(b.grid, cell, b.neigh)
+
+	// select: fitness reads under read locks, then the chosen parents
+	// are snapshotted (copied out) so crossover never touches shared
+	// memory.
+	b.cands = b.cands[:0]
+	for _, c := range b.neigh {
+		b.cands = append(b.cands, operators.Candidate{Cell: c, Fitness: b.pop.fitness(c)})
+	}
+	i1, i2 := p.Selector.Select(b.cands, b.r)
+	b.pop.snapshotInto(b.cands[i1].Cell, b.p1)
+	if i2 == i1 {
+		b.p2.CopyFrom(b.p1)
+	} else {
+		b.pop.snapshotInto(b.cands[i2].Cell, b.p2)
+	}
+
+	// recombine with probability p_comb, otherwise the offspring starts
+	// as a copy of the first parent.
+	if b.r.Bool(p.CrossProb) {
+		p.Crossover.Cross(child, b.p1, b.p2, b.r)
+	} else {
+		child.CopyFrom(b.p1)
+	}
+
+	// mutate with probability p_mut.
+	if b.r.Bool(p.MutProb) {
+		p.Mutation.Mutate(child, b.r)
+	}
+
+	// local search (H2LL) with probability p_ser.
+	if p.LocalProb > 0 && b.r.Bool(p.LocalProb) {
+		b.lsMoves += int64(p.Local.Apply(child, b.r))
+	}
+
+	// evaluate: the default makespan objective is an O(1) read of the
+	// indexed completion times; the flowtime-weighted objective runs
+	// through this breeder's scratch arena.
+	fit := p.fitnessWith(child, &b.scratch)
+	b.eng.AddEvals(1)
+	b.eng.Observe(fit)
+	return fit
+}
+
+// worker owns one population block and breeds its cells in place; it
+// implements Algorithm 3.
+type worker struct {
+	breeder
+	id    int
+	block topology.Block
+	child *schedule.Schedule
 
 	gens     int64
 	conv     []float64
@@ -134,18 +202,19 @@ type worker struct {
 	divCount []int
 }
 
-// evolve runs block sweeps until a stop condition fires. Matching the
-// paper, the wall-clock condition (and context cancellation) is checked
-// once per sweep (§3.2 explicitly accepts the overshoot); the
-// evaluation budget is checked per breeding step so tests can rely on
-// tight budgets.
+// evolve runs block sweeps until a stop condition fires. Each sweep
+// visits the block's cells in ascending order (Table 1: fixed line
+// sweep per block). Matching the paper, the wall-clock condition (and
+// context cancellation) is checked once per sweep (§3.2 explicitly
+// accepts the overshoot); the evaluation budget is checked per breeding
+// step so tests can rely on tight budgets.
 func (w *worker) evolve() {
 	p := w.params
 	for {
 		if w.eng.StopSweep(w.gens) {
 			return
 		}
-		for _, cell := range w.sweeper.Order() {
+		for cell := w.block.Start; cell < w.block.End; cell++ {
 			if w.eng.EvalsExhausted() {
 				return
 			}
@@ -169,60 +238,11 @@ func (w *worker) evolve() {
 }
 
 // evolveCell performs one breeding loop iteration (Algorithm 3 lines
-// 3–9) on the given cell.
+// 3–9) on the given cell: breed an offspring, then install it into the
+// cell under the write lock if the replacement policy accepts it.
 func (w *worker) evolveCell(cell int) {
-	p := w.params
-
-	// get_neighborhood: cells whose individuals may mate with this one.
-	// The neighborhood may cross block boundaries; those reads are what
-	// the per-individual locks protect.
-	w.neigh = p.Neighborhood.Neighbors(w.grid, cell, w.neigh)
-
-	// select: fitness reads under read locks, then the chosen parents
-	// are snapshotted (copied out) so crossover never touches shared
-	// memory.
-	w.cands = w.cands[:0]
-	for _, c := range w.neigh {
-		w.cands = append(w.cands, operators.Candidate{Cell: c, Fitness: w.pop.fitness(c)})
-	}
-	i1, i2 := p.Selector.Select(w.cands, w.r)
-	w.pop.snapshotInto(w.cands[i1].Cell, w.p1)
-	if i2 == i1 {
-		w.p2.CopyFrom(w.p1)
-	} else {
-		w.pop.snapshotInto(w.cands[i2].Cell, w.p2)
-	}
-
-	// recombine with probability p_comb, otherwise the offspring starts
-	// as a copy of the first parent.
-	if w.r.Bool(p.CrossProb) {
-		p.Crossover.Cross(w.child, w.p1, w.p2, w.r)
-	} else {
-		w.child.CopyFrom(w.p1)
-	}
-
-	// mutate with probability p_mut.
-	if w.r.Bool(p.MutProb) {
-		p.Mutation.Mutate(w.child, w.r)
-	}
-
-	// local search (H2LL) with probability p_ser.
-	if p.LocalProb > 0 && w.r.Bool(p.LocalProb) {
-		if moves := p.Local.Apply(w.child, w.r); moves > 0 {
-			w.lsMoves.Add(int64(moves))
-		}
-	}
-
-	// evaluate: the default makespan objective is an O(1) read of the
-	// indexed completion times; the flowtime-weighted objective runs
-	// through this worker's scratch arena.
-	fit := p.fitnessWith(w.child, &w.scratch)
-	w.eng.AddEvals(1)
-	w.eng.Observe(fit)
-
-	// replace: install into the current cell under the write lock if the
-	// policy accepts.
-	w.pop.replaceIf(cell, p.Replacement, w.child, fit)
+	fit := w.breed(cell, w.child)
+	w.pop.replaceIf(cell, w.params.Replacement, w.child, fit)
 }
 
 // aggregateSeries merges per-worker generation series into a

@@ -27,41 +27,6 @@ import (
 	"gridsched/internal/topology"
 )
 
-// LockMode selects the synchronization strategy guarding individuals.
-// The paper uses read-write locks; the other modes exist for the locking
-// ablation benchmark (DESIGN.md §4.2).
-type LockMode int
-
-const (
-	// PerCellRWMutex is the paper's scheme: one sync.RWMutex per
-	// individual, shared reads, exclusive writes.
-	PerCellRWMutex LockMode = iota
-	// PerCellMutex degrades reads to exclusive: one plain mutex per
-	// individual.
-	PerCellMutex
-	// GlobalMutex serializes every individual access behind a single
-	// population-wide mutex.
-	GlobalMutex
-	// NoLock disables locking entirely. Only valid with one thread.
-	NoLock
-)
-
-// String implements fmt.Stringer.
-func (m LockMode) String() string {
-	switch m {
-	case PerCellRWMutex:
-		return "rwmutex"
-	case PerCellMutex:
-		return "mutex"
-	case GlobalMutex:
-		return "global"
-	case NoLock:
-		return "none"
-	default:
-		return fmt.Sprintf("LockMode(%d)", int(m))
-	}
-}
-
 // Params collects every knob of PA-CGA except the stop conditions,
 // which come from the solver.Budget passed to Solve. DefaultParams
 // returns the paper's Table 1 configuration; zero values for the
@@ -95,9 +60,6 @@ type Params struct {
 	// Threads is the number of population blocks / worker goroutines
 	// (Table 1: 1–4; §4.2 finds 3 best and we default to 3).
 	Threads int
-	// Sweep is the per-block cell visiting order (Table 1: fixed line
-	// sweep per block).
-	Sweep topology.SweepPolicy
 	// Seed drives every random decision; fixed seed + evaluation budget
 	// + one thread ⇒ bit-reproducible runs.
 	Seed uint64
@@ -119,9 +81,6 @@ type Params struct {
 	// machine m). Diversity preservation is the cellular GA's raison
 	// d'être (§3.1); the series quantifies it.
 	RecordDiversity bool
-	// LockMode selects the synchronization ablation variant; the zero
-	// value is the paper's per-individual RW lock.
-	LockMode LockMode
 	// FlowtimeWeight extends the paper's single-objective fitness
 	// (§2.2, makespan only — the zero value) to the weighted sum
 	//
@@ -174,7 +133,6 @@ func DefaultParams() Params {
 		LocalProb:    1.0,
 		Replacement:  operators.ReplaceIfBetter,
 		Threads:      3,
-		Sweep:        topology.LineSweep,
 		Seed:         1,
 	}
 }
@@ -224,9 +182,6 @@ func (p Params) validate() error {
 	}
 	if p.FlowtimeWeight < 0 || p.FlowtimeWeight > 1 {
 		return fmt.Errorf("core: FlowtimeWeight = %v outside [0,1]", p.FlowtimeWeight)
-	}
-	if p.LockMode == NoLock && p.Threads > 1 {
-		return fmt.Errorf("core: LockMode NoLock requires a single thread")
 	}
 	return nil
 }

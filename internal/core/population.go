@@ -9,23 +9,21 @@ import (
 	"gridsched/internal/schedule"
 )
 
-// population is the shared 2-D population storage with pluggable
-// locking, laid out as a structure of arrays: the cells' genomes and
+// population is the shared 2-D population storage, laid out as a
+// structure of arrays: the cells' genomes and
 // completion times live in one schedule.Arena (contiguous assignment
 // and CT planes), the cached fitnesses in one contiguous lane, and the
-// per-cell read-write locks — the paper's POSIX rwlocks (§3.2) — in
-// their own slice. Generation-scale sweeps (fitness scans, diversity
+// per-cell read-write locks — the paper's POSIX rwlocks (§3.2), one per
+// individual — in their own slice. Readers share a cell; replacement
+// takes it exclusively. Generation-scale sweeps (fitness scans, diversity
 // measures, block means) therefore stream sequential memory instead of
 // chasing one heap allocation per cell.
 type population struct {
 	arena *schedule.Arena
 	// fit caches each cell's fitness; guarded by the same lock as the
 	// cell's schedule.
-	fit  []float64
-	mus  []sync.RWMutex
-	mode LockMode
-	// global backs the GlobalMutex ablation mode.
-	global sync.Mutex
+	fit []float64
+	mus []sync.RWMutex
 }
 
 // newPopulation initializes size individuals on inst: all random except,
@@ -38,7 +36,7 @@ type population struct {
 // historical per-cell NewRandom loop), the drawn assignment planes are
 // loaded through the batched bulk kernel, and fitness is computed with
 // the engine's objective function in cell order.
-func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, mode LockMode, eval func(*schedule.Schedule) float64) *population {
+func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, eval func(*schedule.Schedule) float64) *population {
 	if warm != nil && warm.Inst != inst {
 		warm = nil // foreign schedule: ignore rather than corrupt the population
 	}
@@ -46,7 +44,6 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 		arena: schedule.NewArena(inst, size),
 		fit:   make([]float64, size),
 		mus:   make([]sync.RWMutex, size),
-		mode:  mode,
 	}
 	drawn := make([]*schedule.Schedule, 0, size)
 	for i := 0; i < size; i++ {
@@ -77,58 +74,12 @@ func (p *population) size() int { return p.arena.Len() }
 // protocol as fit.
 func (p *population) sched(i int) *schedule.Schedule { return p.arena.At(i) }
 
-// rlock acquires read access to cell i under the configured mode.
-func (p *population) rlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex:
-		p.mus[i].RLock()
-	case PerCellMutex:
-		p.mus[i].Lock()
-	case GlobalMutex:
-		p.global.Lock()
-	case NoLock:
-	}
-}
-
-func (p *population) runlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex:
-		p.mus[i].RUnlock()
-	case PerCellMutex:
-		p.mus[i].Unlock()
-	case GlobalMutex:
-		p.global.Unlock()
-	case NoLock:
-	}
-}
-
-// lock acquires write access to cell i under the configured mode.
-func (p *population) lock(i int) {
-	switch p.mode {
-	case PerCellRWMutex, PerCellMutex:
-		p.mus[i].Lock()
-	case GlobalMutex:
-		p.global.Lock()
-	case NoLock:
-	}
-}
-
-func (p *population) unlock(i int) {
-	switch p.mode {
-	case PerCellRWMutex, PerCellMutex:
-		p.mus[i].Unlock()
-	case GlobalMutex:
-		p.global.Unlock()
-	case NoLock:
-	}
-}
-
 // fitness returns cell i's cached makespan under a read lock. This is
 // the non-atomic read the paper protects during selection.
 func (p *population) fitness(i int) float64 {
-	p.rlock(i)
+	p.mus[i].RLock()
 	f := p.fit[i]
-	p.runlock(i)
+	p.mus[i].RUnlock()
 	return f
 }
 
@@ -136,10 +87,10 @@ func (p *population) fitness(i int) float64 {
 // a read lock, returning the fitness consistent with the copy. This is
 // the protected parent read of the recombination step.
 func (p *population) snapshotInto(i int, dst *schedule.Schedule) float64 {
-	p.rlock(i)
+	p.mus[i].RLock()
 	dst.CopyFrom(p.arena.At(i))
 	f := p.fit[i]
-	p.runlock(i)
+	p.mus[i].RUnlock()
 	return f
 }
 
@@ -149,13 +100,13 @@ func (p *population) snapshotInto(i int, dst *schedule.Schedule) float64 {
 // comparison re-reads the current fitness inside the critical section, so
 // a concurrent improvement cannot be stomped by a stale offspring.
 func (p *population) replaceIf(i int, policy interface{ Accepts(cur, off float64) bool }, cand *schedule.Schedule, candFit float64) bool {
-	p.lock(i)
+	p.mus[i].Lock()
 	ok := policy.Accepts(p.fit[i], candFit)
 	if ok {
 		p.arena.At(i).CopyFrom(cand)
 		p.fit[i] = candFit
 	}
-	p.unlock(i)
+	p.mus[i].Unlock()
 	return ok
 }
 
@@ -193,13 +144,13 @@ func (p *population) blockDiversity(start, end int, counts []int) ([]int, float6
 		counts[i] = 0
 	}
 	for i := start; i < end; i++ {
-		p.rlock(i)
+		p.mus[i].RLock()
 		for t, m := range p.arena.At(i).S {
 			if m >= 0 {
 				counts[t*machines+m]++
 			}
 		}
-		p.runlock(i)
+		p.mus[i].RUnlock()
 	}
 	total := 0.0
 	inv := 1 / float64(n)
@@ -217,19 +168,16 @@ func (p *population) blockDiversity(start, end int, counts []int) ([]int, float6
 // best scans the population and returns a clone of the best individual
 // and its fitness. Called once after the workers join.
 func (p *population) best() (*schedule.Schedule, float64) {
-	bestIdx := 0
-	p.rlock(0)
-	bestFit := p.fit[0]
-	p.runlock(0)
+	bestIdx, bestFit := 0, p.fitness(0)
 	for i := 1; i < p.size(); i++ {
 		f := p.fitness(i)
 		if f < bestFit {
 			bestIdx, bestFit = i, f
 		}
 	}
-	p.rlock(bestIdx)
+	p.mus[bestIdx].RLock()
 	clone := p.arena.At(bestIdx).Clone()
 	fit := p.fit[bestIdx]
-	p.runlock(bestIdx)
+	p.mus[bestIdx].RUnlock()
 	return clone, fit
 }

@@ -15,27 +15,25 @@ import (
 // shows up as a -race report here.
 func TestSoAPopulationConcurrentWorkers(t *testing.T) {
 	in := stressInstance(t, 9)
-	for _, mode := range []LockMode{PerCellRWMutex, PerCellMutex, GlobalMutex} {
-		p := DefaultParams()
-		p.GridW, p.GridH = 8, 8
-		p.Threads = 4
-		p.Seed = 77
-		p.LockMode = mode
-		p.RecordConvergence = true
-		p.RecordDiversity = true
-		res, err := run(in, p, solver.Budget{MaxEvaluations: 6000})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if err := res.Best.Validate(); err != nil {
-			t.Fatalf("%v: corrupt best schedule: %v", mode, err)
-		}
-		if res.BestFitness <= 0 {
-			t.Fatalf("%v: nonpositive best fitness %v", mode, res.BestFitness)
-		}
-		// No sample-count assertion: under GlobalMutex a worker can
-		// starve and finish zero full generations, legitimately leaving
-		// the aggregated series empty. The recording reads still ran
-		// concurrently with the breeders, which is what -race checks.
+	p := DefaultParams()
+	p.GridW, p.GridH = 8, 8
+	p.Threads = 4
+	p.Seed = 77
+	p.RecordConvergence = true
+	p.RecordDiversity = true
+	res, err := run(in, p, solver.Budget{MaxEvaluations: 6000})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := res.Best.Validate(); err != nil {
+		t.Fatalf("corrupt best schedule: %v", err)
+	}
+	if res.BestFitness <= 0 {
+		t.Fatalf("nonpositive best fitness %v", res.BestFitness)
+	}
+	// No sample-count assertion: at GOMAXPROCS=1 one worker can use up
+	// the whole evaluation budget before worker 0, which takes the
+	// diversity samples, finishes a generation, legitimately leaving a
+	// series empty. The recording reads still ran concurrently with the
+	// breeders, which is what -race checks.
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"gridsched/internal/etc"
-	"gridsched/internal/operators"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
 	"gridsched/internal/solver"
@@ -14,18 +13,18 @@ import (
 // Solve implements solver.Solver: it executes the synchronous cellular
 // GA model of §3.1. Every generation, all offspring are produced
 // against the current population and placed in an auxiliary
-// population, which then replaces the current one at once. It is
-// single-threaded (Params.Threads and LockMode are ignored) and serves
-// as the async-vs-sync ablation and as the substrate for the cellular
-// memetic baseline. The deadline and ctx are checked at generation
-// granularity.
+// population, which then replaces the current one at once. Offspring
+// come from the same breeding step PA-CGA's workers run, through the
+// same per-individual locks (uncontended here). It is single-threaded
+// (Params.Threads is ignored) and serves as the async-vs-sync ablation
+// and as the substrate for the cellular memetic baseline. The deadline
+// and ctx are checked at generation granularity.
 func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (*Result, error) {
 	if b.IsZero() {
 		return nil, errNoStop
 	}
 	p := s.Params.withDefaults()
 	p.Threads = 1
-	p.LockMode = NoLock
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -36,8 +35,7 @@ func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget)
 
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
-	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, NoLock, p.fitness)
-	r := root.Split(1)
+	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.fitness)
 
 	// Auxiliary generation buffer: offspring and their fitness, laid
 	// out as one arena so the install sweep copies between contiguous
@@ -49,10 +47,6 @@ func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget)
 	for i := range aux {
 		aux[i] = auxArena.At(i)
 	}
-	p1 := schedule.New(inst)
-	p2 := schedule.New(inst)
-	neigh := make([]int, 0, p.Neighborhood.Size())
-	cands := make([]operators.Candidate, 0, p.Neighborhood.Size())
 
 	eng := solver.NewEngine(ctx, b)
 	eng.AddEvals(int64(pop.size()))
@@ -60,11 +54,10 @@ func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget)
 		_, f := pop.best()
 		eng.Observe(f)
 	}
-	var lsMoves int64
+	br := newBreeder(inst, grid, pop, &p, root.Split(1), eng)
 	var gens int64
 	var conv, div []float64
 	var divCount []int
-	var scratch schedule.Scratch
 
 	// install replaces the first n cells with their accepted offspring;
 	// record counts the installed (possibly partial) generation and
@@ -110,33 +103,8 @@ loop:
 				}
 				break loop
 			}
-			neigh = p.Neighborhood.Neighbors(grid, cell, neigh)
-			cands = cands[:0]
-			for _, c := range neigh {
-				cands = append(cands, operators.Candidate{Cell: c, Fitness: pop.fit[c]})
-			}
-			i1, i2 := p.Selector.Select(cands, r)
-			p1.CopyFrom(pop.sched(cands[i1].Cell))
-			if i2 == i1 {
-				p2.CopyFrom(p1)
-			} else {
-				p2.CopyFrom(pop.sched(cands[i2].Cell))
-			}
-			if r.Bool(p.CrossProb) {
-				p.Crossover.Cross(aux[cell], p1, p2, r)
-			} else {
-				aux[cell].CopyFrom(p1)
-			}
-			if r.Bool(p.MutProb) {
-				p.Mutation.Mutate(aux[cell], r)
-			}
-			if p.LocalProb > 0 && r.Bool(p.LocalProb) {
-				lsMoves += int64(p.Local.Apply(aux[cell], r))
-			}
-			auxFit[cell] = p.fitnessWith(aux[cell], &scratch)
-			eng.AddEvals(1)
-			eng.Observe(auxFit[cell])
-			accepted[cell] = p.Replacement.Accepts(pop.fit[cell], auxFit[cell])
+			auxFit[cell] = br.breed(cell, aux[cell])
+			accepted[cell] = p.Replacement.Accepts(pop.fitness(cell), auxFit[cell])
 		}
 		// Synchronous replacement: the whole generation installs at once.
 		install(grid.Size())
@@ -145,7 +113,7 @@ loop:
 
 	res := &Result{
 		Evaluations:      eng.Evals(),
-		LocalSearchMoves: lsMoves,
+		LocalSearchMoves: br.lsMoves,
 		Duration:         eng.Elapsed(),
 		EffectiveBudget:  eng.EffectiveBudget(),
 		Generations:      gens,

@@ -381,7 +381,10 @@ const (
 // semi-consistent: even-indexed columns only).
 //
 // This substitutes for the original u_x_yyzz.k data files, which are not
-// redistributable here; see DESIGN.md §2 for the equivalence argument.
+// redistributable here. Those files were produced by this same method
+// with the φ ranges above, so a generated instance is a fresh draw from
+// its class's distribution, not a copy of the published matrix: compare
+// shapes and rankings with the paper, not absolute makespans.
 func Generate(spec GenSpec) (*Instance, error) {
 	if spec.Tasks <= 0 {
 		spec.Tasks = DefaultTasks

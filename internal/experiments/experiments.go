@@ -100,7 +100,7 @@ func Table1() string {
 	rows := [][2]string{
 		{"Population", fmt.Sprintf("%dx%d", p.GridW, p.GridH)},
 		{"Population initialization", "Min-min (1 ind), rest random"},
-		{"Cell update policy", fmt.Sprintf("fixed %s sweep per block", p.Sweep)},
+		{"Cell update policy", "fixed line sweep per block"},
 		{"Neighborhood", p.Neighborhood.String()},
 		{"Selection", p.Selector.Name()},
 		{"Recombination", fmt.Sprintf("%s, p_comb = %.1f", p.Crossover.Name(), p.CrossProb)},

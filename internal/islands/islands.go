@@ -149,6 +149,7 @@ type island struct {
 	neigh         []int
 	cands         []operators.Candidate
 	gens          int64
+	lsMoves       int64
 }
 
 // Solve implements solver.Solver: it executes the island model and
@@ -246,6 +247,7 @@ func (s Solver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) 
 	for i, isl := range islands {
 		res.PerThread[i] = isl.gens
 		res.Generations += isl.gens
+		res.LocalSearchMoves += isl.lsMoves
 		for c, f := range isl.fit {
 			if best == nil || f < bestFit {
 				best, bestFit = isl.pop[c], f
@@ -304,7 +306,7 @@ func (isl *island) evolveCell(cell int) {
 		cfg.Mutation.Mutate(isl.child, isl.r)
 	}
 	if cfg.LocalProb > 0 && isl.r.Bool(cfg.LocalProb) {
-		cfg.Local.Apply(isl.child, isl.r)
+		isl.lsMoves += int64(cfg.Local.Apply(isl.child, isl.r))
 	}
 	f := isl.child.Makespan()
 	isl.eng.AddEvals(1)

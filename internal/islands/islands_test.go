@@ -193,3 +193,17 @@ func BenchmarkIslands4x64(b *testing.B) {
 		}
 	}
 }
+
+// TestRunCountsLocalSearchMoves checks that the islands report the
+// improving H2LL moves their offspring made: the default configuration
+// runs H2LL on every offspring, so a real run cannot report none.
+func TestRunCountsLocalSearchMoves(t *testing.T) {
+	in := testInstance(t, 12)
+	res, err := run(in, Config{Seed: 5}, solver.Budget{MaxEvaluations: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LocalSearchMoves <= 0 {
+		t.Fatalf("LocalSearchMoves %d after %d evaluations with H2LL on every offspring", res.LocalSearchMoves, res.Evaluations)
+	}
+}

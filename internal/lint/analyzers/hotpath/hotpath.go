@@ -28,6 +28,7 @@ var hotPackages = map[string]bool{
 	"gridsched/internal/tabu":       true,
 	"gridsched/internal/schedule":   true,
 	"gridsched/internal/core":       true,
+	"gridsched/internal/operators":  true,
 	"gridsched/internal/gridsim":    true,
 }
 

@@ -10,6 +10,7 @@ import (
 func TestHotpath(t *testing.T) {
 	analysistest.Run(t, "testdata", hotpath.Analyzer,
 		"gridsched/internal/heuristics",
+		"gridsched/internal/operators",
 		"gridsched/internal/coldpkg",
 	)
 }

@@ -476,7 +476,9 @@ func (s *Schedule) FlowtimeInto(sc *Scratch) float64 {
 // RecomputeCT rebuilds CT (and the compensation terms and the max
 // index) from scratch; it exists to validate the incremental
 // bookkeeping and to measure how much the incremental scheme saves
-// (ablation benchmark 3 in DESIGN.md). It is the bulk-load kernel.
+// (BenchmarkIncrementalEval vs BenchmarkFullRecomputeEval, see the
+// README's "Performance & evaluation engine"). It is the bulk-load
+// kernel.
 func (s *Schedule) RecomputeCT() {
 	s.loadFromS()
 }

@@ -1,15 +1,10 @@
 // Package topology models the structured population of a cellular GA: a
 // two-dimensional toroidal mesh of individuals, the neighborhood shapes
 // that define who may mate with whom (§3.1), the contiguous row-major
-// block partition that PA-CGA assigns to threads (§3.2, Fig. 2), and the
-// cell sweep policies.
+// block partition that PA-CGA assigns to threads (§3.2, Fig. 2).
 package topology
 
-import (
-	"fmt"
-
-	"gridsched/internal/rng"
-)
+import "fmt"
 
 // Grid is a W×H toroidal mesh. Cells are indexed row-major: cell i lives
 // at column i%W, row i/W, and all coordinate arithmetic wraps around.
@@ -241,82 +236,4 @@ func BoundaryCells(g Grid, n Neighborhood, blocks []Block, b int) []int {
 		}
 	}
 	return out
-}
-
-// SweepPolicy determines the order in which a thread visits the cells of
-// its block each generation.
-type SweepPolicy int
-
-const (
-	// LineSweep visits cells in ascending row-major order every
-	// generation — the paper's choice for all blocks (§3.2).
-	LineSweep SweepPolicy = iota
-	// FixedRandomSweep uses one random permutation drawn at setup and
-	// reused every generation.
-	FixedRandomSweep
-	// NewRandomSweep draws a fresh permutation every generation.
-	NewRandomSweep
-)
-
-// String implements fmt.Stringer.
-func (p SweepPolicy) String() string {
-	switch p {
-	case LineSweep:
-		return "line"
-	case FixedRandomSweep:
-		return "fixed-random"
-	case NewRandomSweep:
-		return "new-random"
-	default:
-		return fmt.Sprintf("SweepPolicy(%d)", int(p))
-	}
-}
-
-// ParseSweepPolicy parses the String names.
-func ParseSweepPolicy(s string) (SweepPolicy, error) {
-	switch s {
-	case "line":
-		return LineSweep, nil
-	case "fixed-random":
-		return FixedRandomSweep, nil
-	case "new-random":
-		return NewRandomSweep, nil
-	}
-	return 0, fmt.Errorf("topology: unknown sweep policy %q", s)
-}
-
-// Sweeper yields per-generation visit orders for one block under a
-// policy. It is not safe for concurrent use; each thread owns one.
-type Sweeper struct {
-	policy SweepPolicy
-	block  Block
-	r      *rng.Rand
-	order  []int
-}
-
-// NewSweeper builds a sweeper for the block. The RNG is retained and used
-// by the random policies; LineSweep never consults it.
-func NewSweeper(policy SweepPolicy, block Block, r *rng.Rand) *Sweeper {
-	s := &Sweeper{policy: policy, block: block, r: r}
-	s.order = make([]int, block.Len())
-	for i := range s.order {
-		s.order[i] = block.Start + i
-	}
-	if policy == FixedRandomSweep {
-		s.shuffle()
-	}
-	return s
-}
-
-func (s *Sweeper) shuffle() {
-	s.r.Shuffle(len(s.order), func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
-}
-
-// Order returns the visit order for the next generation. The returned
-// slice is owned by the sweeper and valid until the next call.
-func (s *Sweeper) Order() []int {
-	if s.policy == NewRandomSweep {
-		s.shuffle()
-	}
-	return s.order
 }

@@ -3,8 +3,6 @@ package topology
 import (
 	"testing"
 	"testing/quick"
-
-	"gridsched/internal/rng"
 )
 
 func mustGrid(t *testing.T, w, h int) Grid {
@@ -293,90 +291,6 @@ func TestBoundaryCellsGrowWithThreads(t *testing.T) {
 	blocks, _ := Partition(g.Size(), 1)
 	if n := len(BoundaryCells(g, L5, blocks, 0)); n != 0 {
 		t.Fatalf("single block reports %d boundary cells", n)
-	}
-}
-
-func TestSweeperLine(t *testing.T) {
-	s := NewSweeper(LineSweep, Block{Start: 4, End: 8}, rng.New(1))
-	order := s.Order()
-	for i, c := range order {
-		if c != 4+i {
-			t.Fatalf("line sweep order %v", order)
-		}
-	}
-	// Stable across generations.
-	order2 := s.Order()
-	for i := range order {
-		if order[i] != order2[i] {
-			t.Fatal("line sweep changed between generations")
-		}
-	}
-}
-
-func TestSweeperFixedRandom(t *testing.T) {
-	s := NewSweeper(FixedRandomSweep, Block{Start: 0, End: 64}, rng.New(2))
-	first := append([]int(nil), s.Order()...)
-	second := s.Order()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatal("fixed random sweep changed between generations")
-		}
-	}
-	if isSorted(first) {
-		t.Fatal("fixed random sweep is suspiciously sorted (64 cells)")
-	}
-	assertPermutation(t, first, 0, 64)
-}
-
-func TestSweeperNewRandom(t *testing.T) {
-	s := NewSweeper(NewRandomSweep, Block{Start: 0, End: 64}, rng.New(3))
-	first := append([]int(nil), s.Order()...)
-	second := s.Order()
-	same := true
-	for i := range first {
-		if first[i] != second[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("new random sweep repeated a 64-cell permutation")
-	}
-	assertPermutation(t, second, 0, 64)
-}
-
-func TestSweepPolicyParseString(t *testing.T) {
-	for _, p := range []SweepPolicy{LineSweep, FixedRandomSweep, NewRandomSweep} {
-		got, err := ParseSweepPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("parse %v -> %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParseSweepPolicy("zigzag"); err == nil {
-		t.Fatal("accepted bogus sweep policy")
-	}
-}
-
-func isSorted(xs []int) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func assertPermutation(t *testing.T, xs []int, lo, hi int) {
-	t.Helper()
-	if len(xs) != hi-lo {
-		t.Fatalf("length %d, want %d", len(xs), hi-lo)
-	}
-	seen := map[int]bool{}
-	for _, v := range xs {
-		if v < lo || v >= hi || seen[v] {
-			t.Fatalf("not a permutation of [%d,%d): %v", lo, hi, xs)
-		}
-		seen[v] = true
 	}
 }
 
