@@ -64,7 +64,7 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 			block:   blocks[i],
 			child:   schedule.New(inst),
 		}
-		w.r.Uint64() // the draw the retired sweep-order Split took: dropping it moves every trajectory
+		w.r.Uint64() // burn one draw: the recorded trajectories (TestPACGAGoldenFingerprint) start after it
 		workers[i] = w
 	}
 
@@ -108,8 +108,11 @@ type breeder struct {
 	grid   topology.Grid
 	pop    *population
 	params *Params
-	r      *rng.Rand
-	eng    *solver.Engine
+	// r is held by value, inside the breeder's own allocation: two
+	// workers' separately allocated 32-byte RNG states can share a
+	// cache line, and every draw writes the state.
+	r   rng.Rand
+	eng *solver.Engine
 
 	p1, p2  *schedule.Schedule
 	neigh   []int
@@ -125,7 +128,7 @@ func newBreeder(inst *etc.Instance, grid topology.Grid, pop *population, p *Para
 		grid:   grid,
 		pop:    pop,
 		params: p,
-		r:      r,
+		r:      *r,
 		eng:    eng,
 		p1:     schedule.New(inst),
 		p2:     schedule.New(inst),
@@ -153,7 +156,7 @@ func (b *breeder) breed(cell int, child *schedule.Schedule) float64 {
 	for _, c := range b.neigh {
 		b.cands = append(b.cands, operators.Candidate{Cell: c, Fitness: b.pop.fitness(c)})
 	}
-	i1, i2 := p.Selector.Select(b.cands, b.r)
+	i1, i2 := p.Selector.Select(b.cands, &b.r)
 	b.pop.snapshotInto(b.cands[i1].Cell, b.p1)
 	if i2 == i1 {
 		b.p2.CopyFrom(b.p1)
@@ -164,19 +167,19 @@ func (b *breeder) breed(cell int, child *schedule.Schedule) float64 {
 	// recombine with probability p_comb, otherwise the offspring starts
 	// as a copy of the first parent.
 	if b.r.Bool(p.CrossProb) {
-		p.Crossover.Cross(child, b.p1, b.p2, b.r)
+		p.Crossover.Cross(child, b.p1, b.p2, &b.r)
 	} else {
 		child.CopyFrom(b.p1)
 	}
 
 	// mutate with probability p_mut.
 	if b.r.Bool(p.MutProb) {
-		p.Mutation.Mutate(child, b.r)
+		p.Mutation.Mutate(child, &b.r)
 	}
 
 	// local search (H2LL) with probability p_ser.
 	if p.LocalProb > 0 && b.r.Bool(p.LocalProb) {
-		b.lsMoves += int64(p.Local.Apply(child, b.r))
+		b.lsMoves += int64(p.Local.Apply(child, &b.r))
 	}
 
 	// evaluate: the default makespan objective is an O(1) read of the

@@ -10,14 +10,14 @@ import (
 )
 
 // population is the shared 2-D population storage, laid out as a
-// structure of arrays: the cells' genomes and
-// completion times live in one schedule.Arena (contiguous assignment
-// and CT planes), the cached fitnesses in one contiguous lane, and the
-// per-cell read-write locks — the paper's POSIX rwlocks (§3.2), one per
-// individual — in their own slice. Readers share a cell; replacement
-// takes it exclusively. Generation-scale sweeps (fitness scans, diversity
+// structure of arrays: the cells' genomes and completion times live in
+// one schedule.Arena (contiguous assignment and CT planes), the cached
+// fitnesses in one contiguous lane, and the per-cell read-write locks
+// in their own slice. Generation-scale sweeps (fitness scans, diversity
 // measures, block means) therefore stream sequential memory instead of
-// chasing one heap allocation per cell.
+// chasing one heap allocation per cell. Each individual has one lock,
+// the paper's POSIX rwlock (§3.2): readers share a cell, replacement
+// takes it exclusively.
 type population struct {
 	arena *schedule.Arena
 	// fit caches each cell's fitness; guarded by the same lock as the
