@@ -2,6 +2,9 @@ package islands
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"gridsched/internal/etc"
@@ -205,5 +208,47 @@ func TestRunCountsLocalSearchMoves(t *testing.T) {
 	}
 	if res.LocalSearchMoves <= 0 {
 		t.Fatalf("LocalSearchMoves %d after %d evaluations with H2LL on every offspring", res.LocalSearchMoves, res.Evaluations)
+	}
+}
+
+// TestSingleIslandGoldenFingerprint pins the exact trajectory of a
+// one-island run (Table 1 operators, 5000 evaluations): the bits of the
+// best makespan, the number of H2LL moves and an FNV-1a hash of the
+// best assignment. One island runs on one goroutine, so the evaluation
+// budget makes it deterministic. A speed-up of the breeding step must
+// leave these rows as they are; a deliberate behaviour change
+// re-records them.
+func TestSingleIslandGoldenFingerprint(t *testing.T) {
+	golden := []struct {
+		instance      string
+		makespanBits  uint64
+		lsMoves       int64
+		assignmentFNV uint64
+	}{
+		{"u_c_hihi.0@64x8", 0x41449d91cbea41c5, 14960, 0x98212e8a3c3fe367},
+		{"u_i_hilo.0", 0x40f1f959a4a9d6ce, 27873, 0x63c7b85672876844},
+	}
+	for _, g := range golden {
+		t.Run(g.instance, func(t *testing.T) {
+			in, err := etc.GenerateByName(g.instance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(in, Config{Seed: 3, Islands: 1, MigrationEvery: 4, SeedMinMin: true}, solver.Budget{MaxEvaluations: 5000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for _, m := range res.Best.S {
+				binary.LittleEndian.PutUint64(b[:], uint64(int64(m)))
+				h.Write(b[:])
+			}
+			bits, sum := math.Float64bits(res.BestFitness), h.Sum64()
+			if bits != g.makespanBits || res.LocalSearchMoves != g.lsMoves || sum != g.assignmentFNV {
+				t.Errorf("fingerprint {%q, %#x, %d, %#x}, want {%#x, %d, %#x}",
+					g.instance, bits, res.LocalSearchMoves, sum, g.makespanBits, g.lsMoves, g.assignmentFNV)
+			}
+		})
 	}
 }
