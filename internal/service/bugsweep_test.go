@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gridsched/internal/etc"
+	"gridsched/internal/solver"
 )
 
 // TestStatsZeroDurationJobMarshals is the regression test for the
@@ -205,6 +208,41 @@ func TestForcedShutdownCancelsQueuedJobs(t *testing.T) {
 	}
 	if j.State != StateCancelled {
 		t.Fatalf("in-flight job retired as %s, want cancelled", j.State)
+	}
+}
+
+// TestDequeueAfterBaseCancelRetiresCancelled pins the dequeue check
+// against the forced-shutdown race: Close cancels the server's base
+// context, and Go cancels the job contexts under it one at a time, so a
+// worker can dequeue a job whose own context is still live. The job
+// here is given a context outside the base one, which holds that window
+// open; execute must still retire it as cancelled without running it.
+func TestDequeueAfterBaseCancelRetiresCancelled(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	inst, err := etc.GenerateByName("u_c_hihi.0@64x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := solver.Lookup("minmin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob(JobSpec{Solver: "minmin", Instance: inst.Name}, sv, inst, solver.Budget{}, context.Background(), &svc.gauges)
+	j.id = "j-window"
+	svc.gauges.queued.Add(1)
+	svc.stop()
+	if j.ctx.Err() != nil {
+		t.Fatal("the job's own context is cancelled; the test no longer holds the race window open")
+	}
+	svc.execute(j)
+	snap := j.snapshot()
+	if snap.State != StateCancelled || !snap.StartedAt.IsZero() {
+		t.Fatalf("job dequeued after the base context was cancelled retired as %s (started %v), want cancelled without running",
+			snap.State, !snap.StartedAt.IsZero())
+	}
+	if q := svc.gauges.queued.Load(); q != 0 {
+		t.Fatalf("queued gauge %d after retirement, want 0", q)
 	}
 }
 

@@ -30,7 +30,11 @@ func (s *Server) runWorker() {
 func (s *Server) execute(j *job) {
 	j.markDequeued()
 	j.timeline.Mark("dispatched")
-	if j.ctx.Err() != nil {
+	// The base context is checked too: Close cancels it first, and Go
+	// cancels its child contexts one at a time, so a worker freed by the
+	// cancelled in-flight job can dequeue a job whose own context is not
+	// cancelled yet.
+	if j.ctx.Err() != nil || s.baseCtx.Err() != nil {
 		j.requestCancel()
 	}
 	panicked := false
