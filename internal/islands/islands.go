@@ -145,11 +145,11 @@ type island struct {
 	cfg    *Config
 	eng    *solver.Engine
 
-	p1, p2, child *schedule.Schedule
-	neigh         []int
-	cands         []operators.Candidate
-	gens          int64
-	lsMoves       int64
+	child   *schedule.Schedule
+	neigh   []int
+	cands   []operators.Candidate
+	gens    int64
+	lsMoves int64
 }
 
 // Solve implements solver.Solver: it executes the island model and
@@ -191,8 +191,6 @@ func (s Solver) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) 
 			outbox: chans[(i+1)%cfg.Islands],
 			cfg:    &cfg,
 			eng:    eng,
-			p1:     schedule.New(inst),
-			p2:     schedule.New(inst),
 			child:  schedule.New(inst),
 			neigh:  make([]int, 0, cfg.Neighborhood.Size()),
 			cands:  make([]operators.Candidate, 0, cfg.Neighborhood.Size()),
@@ -282,7 +280,8 @@ func (isl *island) evolve() {
 }
 
 // evolveCell is the lock-free version of the PA-CGA breeding loop: the
-// island owns its population outright.
+// island owns its population outright, so the offspring is crossed
+// straight from the parents' cells, with no snapshot copies.
 func (isl *island) evolveCell(cell int) {
 	cfg := isl.cfg
 	isl.neigh = cfg.Neighborhood.Neighbors(isl.grid, cell, isl.neigh)
@@ -291,16 +290,11 @@ func (isl *island) evolveCell(cell int) {
 		isl.cands = append(isl.cands, operators.Candidate{Cell: c, Fitness: isl.fit[c]})
 	}
 	i1, i2 := cfg.Selector.Select(isl.cands, isl.r)
-	isl.p1.CopyFrom(isl.pop[isl.cands[i1].Cell])
-	if i2 == i1 {
-		isl.p2.CopyFrom(isl.p1)
-	} else {
-		isl.p2.CopyFrom(isl.pop[isl.cands[i2].Cell])
-	}
+	p1, p2 := isl.pop[isl.cands[i1].Cell], isl.pop[isl.cands[i2].Cell]
 	if isl.r.Bool(cfg.CrossProb) {
-		cfg.Crossover.Cross(isl.child, isl.p1, isl.p2, isl.r)
+		cfg.Crossover.Cross(isl.child, p1, p2, isl.r)
 	} else {
-		isl.child.CopyFrom(isl.p1)
+		isl.child.CopyFrom(p1)
 	}
 	if isl.r.Bool(cfg.MutProb) {
 		cfg.Mutation.Mutate(isl.child, isl.r)
