@@ -100,6 +100,11 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 	return res, nil
 }
 
+// maxNeighborhood is the size of the largest topology.Neighborhood (C9
+// and L9). A larger one would still work: its slices would spill to the
+// heap.
+const maxNeighborhood = 9
+
 // breeder is one breeding loop's state: the shared grid and population
 // it reads, its own RNG stream and its reusable workspaces. PA-CGA's
 // workers and SyncCGA breed through the same breed method, so the two
@@ -110,13 +115,15 @@ type breeder struct {
 	params *Params
 	// r is held by value, inside the breeder's own allocation: two
 	// workers' separately allocated 32-byte RNG states can share a
-	// cache line, and every draw writes the state.
+	// cache line, and every draw writes the state. The neighbourhood
+	// and candidate buffers are arrays for the same reason: slices
+	// made per breeder landed back to back in shared lines.
 	r   rng.Rand
 	eng *solver.Engine
 
-	p1, p2  *schedule.Schedule
-	neigh   []int
-	cands   []operators.Candidate
+	p2      *schedule.Schedule
+	neigh   [maxNeighborhood]int
+	cands   [maxNeighborhood]operators.Candidate
 	scratch schedule.Scratch
 	// lsMoves counts this breeder's improving H2LL moves; Solve sums
 	// them after the join.
@@ -130,10 +137,7 @@ func newBreeder(inst *etc.Instance, grid topology.Grid, pop *population, p *Para
 		params: p,
 		r:      *r,
 		eng:    eng,
-		p1:     schedule.New(inst),
 		p2:     schedule.New(inst),
-		neigh:  make([]int, 0, p.Neighborhood.Size()),
-		cands:  make([]operators.Candidate, 0, p.Neighborhood.Size()),
 	}
 }
 
@@ -147,29 +151,29 @@ func (b *breeder) breed(cell int, child *schedule.Schedule) float64 {
 	// get_neighborhood: cells whose individuals may mate with this one.
 	// The neighborhood may cross block boundaries; those reads are what
 	// the per-individual locks protect.
-	b.neigh = p.Neighborhood.Neighbors(b.grid, cell, b.neigh)
+	neigh := p.Neighborhood.Neighbors(b.grid, cell, b.neigh[:0])
 
 	// select: fitness reads under read locks, then the chosen parents
 	// are snapshotted (copied out) so crossover never touches shared
-	// memory.
-	b.cands = b.cands[:0]
-	for _, c := range b.neigh {
-		b.cands = append(b.cands, operators.Candidate{Cell: c, Fitness: b.pop.fitness(c)})
+	// memory. Parent 1 is copied straight into child, which crossover
+	// then recombines in place; a parent selected twice is crossed with
+	// itself.
+	cands := b.cands[:0]
+	for _, c := range neigh {
+		cands = append(cands, operators.Candidate{Cell: c, Fitness: b.pop.fitness(c)})
 	}
-	i1, i2 := p.Selector.Select(b.cands, &b.r)
-	b.pop.snapshotInto(b.cands[i1].Cell, b.p1)
-	if i2 == i1 {
-		b.p2.CopyFrom(b.p1)
-	} else {
-		b.pop.snapshotInto(b.cands[i2].Cell, b.p2)
+	i1, i2 := p.Selector.Select(cands, &b.r)
+	b.pop.snapshotInto(cands[i1].Cell, child)
+	p2 := child
+	if i2 != i1 {
+		b.pop.snapshotInto(cands[i2].Cell, b.p2)
+		p2 = b.p2
 	}
 
-	// recombine with probability p_comb, otherwise the offspring starts
-	// as a copy of the first parent.
+	// recombine with probability p_comb, otherwise the offspring stays
+	// a copy of the first parent.
 	if b.r.Bool(p.CrossProb) {
-		p.Crossover.Cross(child, b.p1, b.p2, &b.r)
-	} else {
-		child.CopyFrom(b.p1)
+		p.Crossover.Cross(child, child, p2, &b.r)
 	}
 
 	// mutate with probability p_mut.

@@ -3,8 +3,10 @@ package operators
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"gridsched/internal/etc"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
 )
@@ -158,6 +160,19 @@ func TestH2LLApplyMatchesReference(t *testing.T) {
 		})
 	}
 
+	// Small-integer ETC makes completion-time ties common, so the
+	// (CT, index) tie-break decides both the candidate order and which
+	// of two equally good destinations a task goes to.
+	t.Run("ct-ties", func(t *testing.T) {
+		for _, sh := range []struct{ tasks, machines int }{{64, 8}, {300, 40}} {
+			in := smallIntInstance(t, sh.tasks, sh.machines, 3, uint64(sh.machines))
+			for _, ncand := range []int{0, 1, sh.machines - 1} {
+				s := schedule.NewRandom(in, rng.New(uint64(sh.tasks+ncand)))
+				h2llMatchesReference(t, H2LL{Iterations: 40, Candidates: ncand}, s, uint64(ncand)+9)
+			}
+		}
+	})
+
 	// 40 tasks over 10 machines: 200 iterations far exceed any machine's
 	// task count, so task lists drain and refill repeatedly.
 	t.Run("iterations-exceed-tasks", func(t *testing.T) {
@@ -185,5 +200,113 @@ func TestH2LLApplyAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { h.Apply(s, r) }); allocs != 0 {
 			t.Errorf("%dx%d: %v allocs per Apply, want 0", sh.tasks, sh.machines, allocs)
 		}
+	}
+}
+
+// smallIntInstance builds a tasks×machines instance whose ETC entries
+// are integers in [1, hi], so equal completion times are common.
+func smallIntInstance(t testing.TB, tasks, machines, hi int, seed uint64) *etc.Instance {
+	t.Helper()
+	r := rng.New(seed)
+	row := make([]float64, tasks*machines)
+	for i := range row {
+		row[i] = float64(1 + r.Intn(hi))
+	}
+	in, err := etc.New(fmt.Sprintf("int%d_%dx%d", hi, tasks, machines), tasks, machines, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// requireScratchMatches fails unless ws holds s's machine order
+// (MachinesByCompletion) and, per machine, s's tasks in ascending
+// order with their count.
+func requireScratchMatches(t *testing.T, label string, ws *h2llScratch, s *schedule.Schedule) {
+	t.Helper()
+	want := s.MachinesByCompletion(nil)
+	if !slices.Equal(ws.order, want) {
+		t.Fatalf("%s: order %v, MachinesByCompletion %v", label, ws.order, want)
+	}
+	var tasks []int32
+	for m := range want {
+		tasks = tasks[:0]
+		for task := ws.head[m]; task >= 0; task = ws.next[task] {
+			tasks = append(tasks, task)
+		}
+		var wantTasks []int32
+		for _, task := range s.TasksOn(m, nil) {
+			wantTasks = append(wantTasks, int32(task))
+		}
+		if !slices.Equal(tasks, wantTasks) || int(ws.cnt[m]) != len(wantTasks) {
+			t.Fatalf("%s: machine %d list %v (count %d), want %v", label, m, tasks, ws.cnt[m], wantTasks)
+		}
+	}
+}
+
+// TestH2LLScratchOrderProperty checks the incremental machine order of
+// h2llScratch against a fresh MachinesByCompletion sort: after load
+// re-sorts an order left by a different schedule, and after every one
+// of a series of random moves, each of which repositions only the two
+// machines whose completion times changed. The instances cover
+// small-integer ETC (many CT ties), an empty machine whose completion
+// time is its ready time alone, and a 256-machine shape.
+func TestH2LLScratchOrderProperty(t *testing.T) {
+	tied := smallIntInstance(t, 96, 12, 3, 1)
+	ready := make([]float64, tied.M)
+	ready[5] = 40
+	readyOnly, err := tied.WithReady(ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		in    *etc.Instance
+		empty int // a machine holding no task, or -1
+	}{
+		{"ties", tied, -1},
+		{"ready-only", readyOnly, 5},
+		{"braun-512x16", testInstance(t, 512, 16, 3), -1},
+		{"braun-1024x256", testInstance(t, 1024, 256, 4), -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(uint64(len(c.name)))
+			random := func() *schedule.Schedule {
+				s := schedule.New(c.in)
+				for task := range s.S {
+					m := r.Intn(c.in.M)
+					for m == c.empty {
+						m = r.Intn(c.in.M)
+					}
+					s.Assign(task, m)
+				}
+				return s
+			}
+			ws := new(h2llScratch)
+			first := random()
+			ws.load(first)
+			requireScratchMatches(t, "first load", ws, first)
+			for round := 0; round < 5; round++ {
+				s := random()
+				ws.load(s) // re-sorts the previous schedule's order
+				requireScratchMatches(t, fmt.Sprintf("round %d load", round), ws, s)
+				for mv := 0; mv < 60; mv++ {
+					task := int32(r.Intn(len(s.S)))
+					from := s.S[task]
+					to := r.Intn(c.in.M - 1)
+					if to >= from {
+						to++
+					}
+					prev := int32(-1)
+					for q := ws.head[from]; q != task; q = ws.next[q] {
+						prev = q
+					}
+					s.Move(int(task), to)
+					ws.move(s, prev, task, from, to, slices.Index(ws.order, to))
+					requireScratchMatches(t, fmt.Sprintf("round %d move %d", round, mv), ws, s)
+				}
+			}
+		})
 	}
 }

@@ -117,6 +117,58 @@ func TestCrossoverMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCrossoverAliasedChild pins the Crossover contract's aliasing
+// rule for opx, tpx and ux: Cross(child, child, p2, r), with child
+// holding a copy of p1, gives bit for bit the child and the RNG state of
+// Cross into a separate child, and so does crossing a parent with
+// itself through Cross(child, child, child, r). Partial parents and a
+// 2-task instance cover the unassigned genes and the smallest window.
+func TestCrossoverAliasedChild(t *testing.T) {
+	for _, sh := range []struct {
+		tasks, machines int
+		unassigned      float64
+	}{{2, 3, 0}, {512, 16, 0}, {200, 16, 0.2}} {
+		in := testInstance(t, sh.tasks, sh.machines, uint64(13*sh.tasks+sh.machines))
+		for _, op := range []Crossover{OnePoint{}, TwoPoint{}, Uniform{}} {
+			t.Run(fmt.Sprintf("%s/%dx%d/unassigned=%g", op.Name(), sh.tasks, sh.machines, sh.unassigned), func(t *testing.T) {
+				init := rng.New(uint64(sh.tasks))
+				parents := make([]*schedule.Schedule, 2)
+				for i := range parents {
+					parents[i] = schedule.NewRandom(in, init)
+					for task := range parents[i].S {
+						if init.Bool(sh.unassigned) {
+							parents[i].Unassign(task)
+						}
+					}
+				}
+				p1, p2 := parents[0], parents[1]
+				want, got := schedule.New(in), schedule.New(in)
+				for round := 0; round < 10; round++ {
+					seed := uint64(round + 1)
+					r1, r2 := rng.New(seed), rng.New(seed)
+					op.Cross(want, p1, p2, r1)
+					got.CopyFrom(p1)
+					op.Cross(got, got, p2, r2)
+					requireSameChild(t, fmt.Sprintf("round %d", round), want, got)
+					if a, b := r1.Uint64(), r2.Uint64(); a != b {
+						t.Fatalf("round %d: RNG streams diverged", round)
+					}
+
+					r1, r2 = rng.New(seed), rng.New(seed)
+					op.Cross(want, p1, p1.Clone(), r1)
+					got.CopyFrom(p1)
+					op.Cross(got, got, got, r2)
+					requireSameChild(t, fmt.Sprintf("round %d, self-cross", round), want, got)
+					if a, b := r1.Uint64(), r2.Uint64(); a != b {
+						t.Fatalf("round %d, self-cross: RNG streams diverged", round)
+					}
+					p1, p2 = p2, p1
+				}
+			})
+		}
+	}
+}
+
 // TestCrossoverAllocationFree pins that opx and tpx allocate nothing:
 // the child is caller-provided workspace and SetRange updates it in
 // place.

@@ -113,6 +113,10 @@ func (CenterPlusBest) Select(cands []Candidate, _ *rng.Rand) (int, int) {
 // Crossover recombines two parents into an offspring. The child schedule
 // is caller-provided workspace targeting the same instance; Cross fully
 // overwrites it (assignment and completion times) without allocating.
+// p1 may alias child: Cross(child, child, p2, r) recombines in place and
+// gives the same child, with the same RNG draws, as crossing a separate
+// copy of p1. When p1 aliases child, p2 may alias it too (a parent
+// crossed with itself).
 type Crossover interface {
 	Name() string
 	Cross(child, p1, p2 *schedule.Schedule, r *rng.Rand)
@@ -366,7 +370,8 @@ func (h H2LL) Name() string { return fmt.Sprintf("h2ll/%d", h.Iterations) }
 // shape it allocates nothing.
 type h2llScratch struct {
 	// order holds the machines in ascending (CT, index) order; the
-	// candidate set is its prefix.
+	// candidate set is its prefix. Between calls it keeps the last
+	// schedule's order, which load re-sorts from.
 	order []int
 	// plane backs head, cnt and next in one allocation of
 	// 2·machines+tasks entries. Machine m's cnt[m] tasks, in ascending
@@ -378,36 +383,71 @@ type h2llScratch struct {
 
 var h2llPool = sync.Pool{New: func() any { return new(h2llScratch) }}
 
-// load sorts the machines and links and counts s's assigned tasks into
+// machineBefore is the (CT, index) order of h2llScratch.order, the
+// total order of Schedule.MachinesByCompletion.
+func machineBefore(ct []float64, a, b int) bool {
+	return ct[a] < ct[b] || ct[a] == ct[b] && a < b
+}
+
+// load orders the machines and links and counts s's assigned tasks into
 // their machines' lists in one descending pass over S, so every list
 // comes out in ascending task order.
+//
+// The order is insertion-sorted from the one the scratch already holds:
+// offspring bred one after another come from neighbouring parents, so
+// their machine orders differ in few places and few machines move. Only
+// when the machine count changed does it start over with
+// MachinesByCompletion's heap sort. (CT, index) is a total order, so
+// either way the result is the same unique sorted order.
 func (ws *h2llScratch) load(s *schedule.Schedule) {
 	m, t := s.Inst.M, len(s.S)
-	ws.order = s.MachinesByCompletion(ws.order)
+	ct := s.CT
+	if len(ws.order) != m {
+		ws.order = s.MachinesByCompletion(ws.order)
+	} else {
+		order := ws.order
+		for i := 1; i < m; i++ {
+			mac := order[i]
+			j := i
+			for ; j > 0 && machineBefore(ct, mac, order[j-1]); j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = mac
+		}
+	}
 	if cap(ws.plane) < 2*m+t {
 		ws.plane = make([]int32, 2*m+t)
 	}
-	ws.head, ws.cnt, ws.next = ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:2*m+t]
-	for i := range ws.head {
-		ws.head[i] = -1
-		ws.cnt[i] = 0
+	head, cnt, next := ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:2*m+t]
+	ws.head, ws.cnt, ws.next = head, cnt, next
+	for i := range head {
+		head[i] = -1
+		cnt[i] = 0
 	}
+	S := s.S
 	for task := t - 1; task >= 0; task-- {
-		if mac := s.S[task]; mac != schedule.Unassigned {
-			ws.next[task] = ws.head[mac]
-			ws.head[mac] = int32(task)
-			ws.cnt[mac]++
+		if mac := S[task]; mac != schedule.Unassigned {
+			next[task] = head[mac]
+			head[mac] = int32(task)
+			cnt[mac]++
 		}
 	}
 }
 
 // move mirrors s.Move(task, to) for a task of machine from's list whose
-// predecessor there is prev (-1 for the head): it unlinks the task,
-// links it in ascending position into machine to's list, and restores
-// the (CT, index) machine order by one insertion pass — O(M) plus the
-// walk of to's list, since only from's and to's completion times
-// changed.
-func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to int) {
+// predecessor there is prev (-1 for the head), with to at position toPos
+// of the order: it unlinks the task, links it in ascending position
+// into machine to's list, and restores the (CT, index) machine order.
+// Only from's and to's completion times changed, and each in one
+// direction: ETC is positive and the compensated update rounds
+// monotonically, so to's rose and from's fell. to therefore bubbles
+// right from toPos; from, then found by a scan from the right end
+// (the makespan machine sits there, behind at most its CT ties),
+// bubbles left. Passing each other is fine: once to has moved, the
+// order is sorted but for from, whose leftward pass finishes the job.
+// The cost is the walk of to's list plus the distances the two
+// machines travel, not O(M).
+func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, toPos int) {
 	head, next := ws.head, ws.next
 	if prev < 0 {
 		head[from] = next[task]
@@ -428,27 +468,34 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to int
 	}
 
 	ct, order := s.CT, ws.order
-	for i := 1; i < len(order); i++ {
-		mac := order[i]
-		j := i
-		for ; j > 0 && (ct[mac] < ct[order[j-1]] || ct[mac] == ct[order[j-1]] && mac < order[j-1]); j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = mac
+	i := toPos
+	for ; i+1 < len(order) && machineBefore(ct, order[i+1], to); i++ {
+		order[i] = order[i+1]
 	}
+	order[i] = to
+	i = len(order) - 1
+	for order[i] != from {
+		i--
+	}
+	for ; i > 0 && machineBefore(ct, from, order[i-1]); i-- {
+		order[i] = order[i-1]
+	}
+	order[i] = from
 }
 
-// Apply implements LocalSearch. The O(tasks) and O(M log M) work happens
-// once per call: load links the tasks into counted per-machine lists and
-// sorts the machines by (CT, index). Each iteration then reads the
-// makespan machine in O(1) from the schedule's max index, picks its
-// task by Schedule.RandomTaskOn's rule (k := r.Intn(count), then k
-// links down the machine's ascending list), and scans the Candidates
-// least-loaded machines in ascending (CT, index) order, keeping the
-// first strictly smallest new completion time. A
-// move relinks the task and updates the counts and the order
-// incrementally, so an iteration costs O(tasks on the makespan machine
-// and the destination + M).
+// Apply implements LocalSearch. The O(tasks) work happens once per
+// call: load links the tasks into counted per-machine lists and
+// re-sorts the machines by (CT, index) from the pooled order of the
+// previous call, which costs O(M) plus the machines that moved. Each
+// iteration then reads the makespan machine in O(1) from the
+// schedule's max index, picks its task by Schedule.RandomTaskOn's rule
+// (k := r.Intn(count), then k links down the machine's ascending list),
+// and scans the Candidates least-loaded machines in ascending (CT,
+// index) order, keeping the first strictly smallest new completion
+// time. A move relinks the task, updates the counts and repositions the
+// two machines whose completion times changed, so an iteration costs
+// O(tasks on the makespan machine and the destination + Candidates)
+// plus the repositioning.
 func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -486,15 +533,15 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 		// the strict < against worstCT (ETC is positive) keeps self-moves
 		// impossible.
 		bestScore := worstCT
-		bestMac := -1
-		for _, mac := range ws.order[:ncand] {
+		bestMac, bestPos := -1, 0
+		for i, mac := range ws.order[:ncand] {
 			if score := s.CT[mac] + costs[mac]; score < bestScore {
-				bestScore, bestMac = score, mac
+				bestScore, bestMac, bestPos = score, mac, i
 			}
 		}
 		if bestMac >= 0 {
 			s.Move(int(task), bestMac)
-			ws.move(s, prev, task, worst, bestMac)
+			ws.move(s, prev, task, worst, bestMac, bestPos)
 			moves++
 		}
 	}

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -594,6 +595,41 @@ func BenchmarkH2LL5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		H2LL{Iterations: 5}.Apply(s, r)
+	}
+}
+
+// BenchmarkH2LLApply measures one H2LL pass as breeding calls it: on a
+// fresh child each time, so the per-call setup (the task lists and the
+// machine order) counts as it does per offspring. BenchmarkH2LL5
+// re-applies to one schedule, whose order stops changing as it
+// converges. The children cycle through a ring of 64 distinct
+// schedules, each the previous one after a move mutation and a short
+// H2LL pass, like offspring of neighbouring parents; each call copies
+// its ring entry into a work schedule first, as breeding copies parent
+// 1 into the child.
+func BenchmarkH2LLApply(b *testing.B) {
+	for _, sh := range []struct{ tasks, machines int }{{512, 16}, {8192, 256}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.tasks, sh.machines), func(b *testing.B) {
+			in := testInstance(b, sh.tasks, sh.machines, 1)
+			r := rng.New(1)
+			ring := make([]*schedule.Schedule, 64)
+			prev := schedule.NewRandom(in, r)
+			H2LL{Iterations: 200}.Apply(prev, r)
+			for i := range ring {
+				c := prev.Clone()
+				Move{}.Mutate(c, r)
+				H2LL{Iterations: 5}.Apply(c, r)
+				ring[i], prev = c, c
+			}
+			work := schedule.New(in)
+			h := H2LL{Iterations: 5}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				work.CopyFrom(ring[i%len(ring)])
+				h.Apply(work, r)
+			}
+		})
 	}
 }
 

@@ -613,8 +613,12 @@ func (s *Schedule) Clone() *Schedule {
 }
 
 // CopyFrom overwrites s with src in place, without allocating. Both
-// schedules must target the same instance.
+// schedules must target the same instance. Copying a schedule onto
+// itself is a no-op.
 func (s *Schedule) CopyFrom(src *Schedule) {
+	if s == src {
+		return
+	}
 	if s.Inst != src.Inst {
 		panic("schedule: CopyFrom across instances")
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,23 @@ func TestCopyFrom(t *testing.T) {
 	}
 	if b.Makespan() != a.Makespan() {
 		t.Fatal("CopyFrom did not copy CT")
+	}
+}
+
+// TestCopyFromSelf pins that copying a schedule onto itself leaves every
+// field as it was. Crossover recombines in place through
+// Cross(child, child, p2, r), whose first step is child.CopyFrom(child).
+func TestCopyFromSelf(t *testing.T) {
+	in := testInstance(t, 40, 6, 21)
+	s := NewRandom(in, rng.New(3))
+	s.Move(0, (s.S[0]+1)%in.M) // give the compensation words something to hold
+	want := s.Clone()
+	s.CopyFrom(s)
+	if !slices.Equal(s.S, want.S) || !slices.Equal(s.CT, want.CT) || !slices.Equal(s.ctLo, want.ctLo) || !slices.Equal(s.tree, want.tree) {
+		t.Fatal("CopyFrom(self) changed the schedule")
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
