@@ -18,9 +18,9 @@ import (
 // ascending order), builds the sorted least-loaded candidate list with
 // the heap-based LeastLoaded and walks it in order with per-element
 // strict comparisons. The production Apply links and counts the tasks
-// in per-machine lists and sorts the machines once per call and
-// maintains all of them across moves; this reference pins the required
-// bit-identical behavior.
+// in per-machine lists and re-sorts the machine order of its previous
+// call once per call, and maintains all of them across moves; this
+// reference pins the required bit-identical behavior.
 func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
