@@ -401,11 +401,10 @@ func machineBefore(ct []float64, a, b int) bool {
 // either way the result is the same unique sorted order.
 func (ws *h2llScratch) load(s *schedule.Schedule) {
 	m, t := s.Inst.M, len(s.S)
-	ct := s.CT
 	if len(ws.order) != m {
 		ws.order = s.MachinesByCompletion(ws.order)
 	} else {
-		order := ws.order
+		ct, order := s.CT, ws.order
 		for i := 1; i < m; i++ {
 			mac := order[i]
 			j := i
@@ -442,8 +441,8 @@ func (ws *h2llScratch) load(s *schedule.Schedule) {
 // direction: ETC is positive and the compensated update rounds
 // monotonically, so to's rose and from's fell. to therefore bubbles
 // right from toPos; from, then found by a scan from the right end
-// (the makespan machine sits there, behind at most its CT ties),
-// bubbles left. Passing each other is fine: once to has moved, the
+// (the makespan machine sits there, behind at most its CT ties and
+// to), bubbles left. Passing each other is fine: once to has moved, the
 // order is sorted but for from, whose leftward pass finishes the job.
 // The cost is the walk of to's list plus the distances the two
 // machines travel, not O(M).
@@ -486,7 +485,8 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, to
 // Apply implements LocalSearch. The O(tasks) work happens once per
 // call: load links the tasks into counted per-machine lists and
 // re-sorts the machines by (CT, index) from the pooled order of the
-// previous call, which costs O(M) plus the machines that moved. Each
+// previous call, which costs O(M) plus one shift per pair of machines
+// whose relative order changed. Each
 // iteration then reads the makespan machine in O(1) from the
 // schedule's max index, picks its task by Schedule.RandomTaskOn's rule
 // (k := r.Intn(count), then k links down the machine's ascending list),
