@@ -31,11 +31,10 @@ type population struct {
 // seeds exactly one individual with Min-min), and — when a warm-start
 // schedule is supplied (Params.SeedSchedule) — the last cell, which
 // receives a copy of it. This covers both setup_pop and
-// initial_evaluation of Algorithm 2: the random machines are drawn in
-// ascending cell-then-task order (the exact RNG consumption of the
-// historical per-cell NewRandom loop), the drawn assignment planes are
-// loaded through the batched bulk kernel, and fitness is computed with
-// the engine's objective function in cell order.
+// initial_evaluation of Algorithm 2: the random cells are filled in
+// place by Schedule.Randomize in ascending cell order (the exact RNG
+// consumption of the historical per-cell NewRandom loop), and fitness
+// is computed with the engine's objective function in cell order.
 func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, eval func(*schedule.Schedule) float64) *population {
 	if warm != nil && warm.Inst != inst {
 		warm = nil // foreign schedule: ignore rather than corrupt the population
@@ -45,7 +44,6 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 		fit:   make([]float64, size),
 		mus:   make([]sync.RWMutex, size),
 	}
-	drawn := make([]*schedule.Schedule, 0, size)
 	for i := 0; i < size; i++ {
 		s := p.arena.At(i)
 		switch {
@@ -54,13 +52,9 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 		case i == 0 && seedMinMin:
 			s.CopyFrom(heuristics.MinMin(inst))
 		default:
-			for t := range s.S {
-				s.S[t] = r.Intn(inst.M)
-			}
-			drawn = append(drawn, s)
+			s.Randomize(r)
 		}
 	}
-	schedule.BatchLoad(drawn)
 	for i := 0; i < size; i++ {
 		p.fit[i] = eval(p.arena.At(i))
 	}

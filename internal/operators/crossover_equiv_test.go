@@ -11,10 +11,9 @@ import (
 
 // referenceCross is the historical opx/tpx implementation, kept as the
 // scalar reference: the same RNG draws as OnePoint and TwoPoint, but
-// every gene of p2's segment goes through its own SetAssignment, with a
-// tournament-tree repair per update. The production operators copy the
-// segment with one Schedule.SetRange; this reference pins the required
-// bit-identical behavior.
+// every gene of p2's segment goes through its own SetAssignment. The
+// production operators copy the segment with one Schedule.SetRange;
+// this reference pins the required bit-identical behavior.
 func referenceCross(op Crossover, child, p1, p2 *schedule.Schedule, r *rng.Rand) {
 	n := len(p1.S)
 	child.CopyFrom(p1)

@@ -486,9 +486,10 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, to
 // call: load links the tasks into counted per-machine lists and
 // re-sorts the machines by (CT, index) from the pooled order of the
 // previous call, which costs O(M) plus one shift per pair of machines
-// whose relative order changed. Each
-// iteration then reads the makespan machine in O(1) from the
-// schedule's max index, picks its task by Schedule.RandomTaskOn's rule
+// whose relative order changed. Each iteration then reads the makespan
+// machine off the right end of that order — the lowest-indexed of the
+// machines tied at the maximum CT, Schedule.MakespanMachine's rule —
+// picks its task by Schedule.RandomTaskOn's rule
 // (k := r.Intn(count), then k links down the machine's ascending list),
 // and scans the Candidates least-loaded machines in ascending (CT,
 // index) order, keeping the first strictly smallest new completion
@@ -516,7 +517,12 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	ws.load(s)
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
-		worst, worstCT := s.MakespanMachine()
+		w := m - 1
+		worstCT := s.CT[ws.order[w]]
+		for w > 0 && s.CT[ws.order[w-1]] == worstCT {
+			w--
+		}
+		worst := ws.order[w]
 		n := ws.cnt[worst]
 		if n == 0 {
 			// The makespan machine holds no task (all load is ready

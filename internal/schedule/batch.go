@@ -27,14 +27,14 @@ func grow(buf *[]float64, n int) []float64 {
 // pass, reusing a single completion-time arena (B×M compensated lanes
 // held by the Scratch) across the whole batch instead of building B
 // schedules. Each vector is one task-ordered pass over the row layout
-// that reads only its assigned entries. Vectors may contain Unassigned entries; each must have
-// length inst.T (a mismatch panics — it is a programming error, exactly
-// like assigning out of range).
+// that reads only its assigned entries. Vectors may contain Unassigned
+// entries; each must have length inst.T (a mismatch panics — it is a
+// programming error, exactly like assigning out of range).
 //
 // The result is bit-identical to FromAssignment(inst, a).Makespan() for
 // each vector: the lanes accumulate per machine in ascending task order
-// with the same compensated primitive, and the final scan keeps the
-// first maximum, matching the tournament tree's lowest-index tie-break.
+// with the same compensated primitive, and the final scan is
+// Makespan's own first-max scan.
 //
 // The returned slice is scratch-backed: it is valid until the next
 // BatchEvaluate call on the same Scratch.
@@ -59,33 +59,10 @@ func (sc *Scratch) BatchEvaluate(inst *etc.Instance, assignments [][]int) []floa
 	for i, a := range assignments {
 		accumulateAssign(inst, a, ct[i*m:(i+1)*m], lo[i*m:(i+1)*m])
 	}
-	for i := 0; i < b; i++ {
-		lane := ct[i*m : (i+1)*m]
-		w := -1
-		for mac, c := range lane {
-			if w < 0 || c > lane[w] {
-				w = mac
-			}
-		}
-		if w >= 0 {
-			out[i] = lane[w]
-		} else {
-			out[i] = 0
-		}
+	for i := range out {
+		_, out[i] = firstMax(ct[i*m : (i+1)*m])
 	}
 	return out
-}
-
-// BatchLoad rebuilds CT, the compensation terms and the max index of
-// every schedule from its current S through the bulk-load kernel —
-// the batch counterpart of RecomputeCT for populations whose assignment
-// planes were filled directly (arena initialization). Each schedule's
-// resulting state is bit-identical to assigning its tasks incrementally
-// in ascending order.
-func BatchLoad(ss []*Schedule) {
-	for _, s := range ss {
-		s.loadFromS()
-	}
 }
 
 // MoveScores scores every destination machine for relocating task onto

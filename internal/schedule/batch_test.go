@@ -55,9 +55,9 @@ func bitsEqual(a, b float64) bool {
 }
 
 // requireSameState fails unless the two schedules agree bit-for-bit on
-// every piece of state that influences future trajectories: assignment,
-// completion-time heads AND compensation tails, every tournament node,
-// and the max index.
+// every piece of state that influences future trajectories: assignment
+// and completion-time heads AND compensation tails. It also compares
+// the makespan machines the two report.
 func requireSameState(t *testing.T, want, got *Schedule, label string) {
 	t.Helper()
 	for i, m := range want.S {
@@ -73,11 +73,6 @@ func requireSameState(t *testing.T, want, got *Schedule, label string) {
 		if !bitsEqual(want.ctLo[m], got.ctLo[m]) {
 			t.Fatalf("%s: ctLo[%d] = %x, want %x", label, m,
 				math.Float64bits(got.ctLo[m]), math.Float64bits(want.ctLo[m]))
-		}
-	}
-	for i, w := range want.tree {
-		if got.tree[i] != w {
-			t.Fatalf("%s: tree[%d] = %d, want %d", label, i, got.tree[i], w)
 		}
 	}
 	wm, wct := want.MakespanMachine()

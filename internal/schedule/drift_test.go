@@ -120,37 +120,9 @@ func TestDegenerateInstances(t *testing.T) {
 			if got := s.MachinesByCompletion(nil); len(got) != tc.machs {
 				t.Errorf("MachinesByCompletion length %d, want %d", len(got), tc.machs)
 			}
-			if got := s.LeastLoaded(nil, 2); len(got) != min(2, tc.machs) {
-				t.Errorf("LeastLoaded length %d, want %d", len(got), min(2, tc.machs))
-			}
 			if err := s.Validate(); err != nil {
 				t.Errorf("Validate: %v", err)
 			}
 		})
-	}
-}
-
-// TestLeastLoadedMatchesFullSort cross-checks the partial selection
-// against the full sort under random load patterns.
-func TestLeastLoadedMatchesFullSort(t *testing.T) {
-	in := testInstance(t, 60, 13, 8)
-	r := rng.New(8)
-	s := NewRandom(in, r)
-	var buf, order []int
-	for trial := 0; trial < 300; trial++ {
-		s.Move(r.Intn(in.T), r.Intn(in.M))
-		order = s.MachinesByCompletion(order)
-		for n := 0; n <= in.M+1; n++ {
-			buf = s.LeastLoaded(buf, n)
-			want := min(n, in.M)
-			if len(buf) != want {
-				t.Fatalf("n=%d: length %d, want %d", n, len(buf), want)
-			}
-			for i := range buf {
-				if buf[i] != order[i] {
-					t.Fatalf("n=%d: LeastLoaded %v disagrees with sort prefix %v", n, buf, order[:want])
-				}
-			}
-		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // sequence decoded from the fuzz input (3 bytes per operation: opcode,
 // task, machine) and asserts the incremental engine's invariants after
 // every sequence: Validate passes, the incremental makespan tracks the
-// full recomputation within DriftBound, the tournament tree agrees with
-// a scan, and Clone/CopyFrom/RecomputeCT round-trip the state. A shadow
+// full recomputation within DriftBound, MakespanMachine is the first
+// maximum of CT, and Clone/CopyFrom/RecomputeCT round-trip the state. A shadow
 // schedule replays every SetRange as a per-gene SetAssignment loop and
 // must end bit-identical.
 func FuzzScheduleOps(f *testing.F) {
@@ -84,7 +84,7 @@ func FuzzScheduleOps(f *testing.F) {
 				t.Fatalf("machine %d (CT %v) beats reported makespan machine %d (CT %v)", m, c, mac, ct)
 			}
 		}
-		// Clone and CopyFrom must preserve the indexed state exactly.
+		// Clone and CopyFrom must preserve the state exactly.
 		c := s.Clone()
 		if c.Makespan() != s.Makespan() {
 			t.Fatalf("clone makespan %v != %v", c.Makespan(), s.Makespan())
@@ -95,7 +95,7 @@ func FuzzScheduleOps(f *testing.F) {
 			t.Fatalf("copy makespan %v != %v", w.Makespan(), s.Makespan())
 		}
 		// RecomputeCT is idempotent on a compensated schedule up to the
-		// drift bound, and must leave a valid index behind.
+		// drift bound, and must leave a valid schedule behind.
 		before := s.Makespan()
 		s.RecomputeCT()
 		if math.Abs(s.Makespan()-before) > s.DriftBound() {

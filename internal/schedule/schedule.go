@@ -4,25 +4,20 @@
 // incrementally, so that evaluating a schedule never re-sums ETC
 // entries.
 //
-// # Indexed completion-time engine
+// # Compensated completion-time engine
 //
-// Two structures back the incremental bookkeeping:
+// CT is maintained with compensated (double-double) accumulation: next
+// to every CT[m] lives a low-order word ctLo[m] such that the
+// unevaluated sum CT[m]+ctLo[m] carries roughly twice the precision of
+// a float64. Each update is O(1): it performs an error-free
+// transformation (TwoSum) and folds the rounding error into the low
+// word, so the incremental completion times provably track RecomputeCT
+// instead of drifting by a random walk of rounding errors over long
+// tabu/steady-state runs. See DriftBound for the resulting bound.
 //
-//   - CT is maintained with compensated (double-double) accumulation:
-//     next to every CT[m] lives a low-order word ctLo[m] such that the
-//     unevaluated sum CT[m]+ctLo[m] carries roughly twice the precision
-//     of a float64. Each update performs an error-free transformation
-//     (TwoSum) and folds the rounding error into the low word, so the
-//     incremental completion times provably track RecomputeCT instead
-//     of drifting by a random walk of rounding errors over long
-//     tabu/steady-state runs. See DriftBound for the resulting bound.
-//
-//   - A tournament tree indexes the machine with the maximum completion
-//     time, making Makespan and MakespanMachine O(1) reads. Updates
-//     repair the tree bottom-up in O(log machines) worst case, and stop
-//     early at the first node whose winner is unaffected, which makes
-//     the common case (a move that does not touch the makespan machine)
-//     O(1) in practice.
+// Makespan and MakespanMachine are an O(machines) first-max scan of CT,
+// ties going to the lowest index. Callers that need the makespan
+// machine after every move keep their own machine order (H2LL does).
 package schedule
 
 import (
@@ -49,13 +44,11 @@ const epsilon = 0x1p-52
 //	CT[m] = ready[m] + Σ_{t : S[t]=m} ETC[t][m]
 //
 // maintained incrementally by Assign, Move and Unassign with
-// compensated accumulation, and indexed by a tournament tree so the
-// maximum is available in O(1). The invariant is checked exhaustively
-// by Validate and by the property tests.
+// compensated accumulation. The invariant is checked exhaustively by
+// Validate and by the property tests.
 //
 // CT is exported for read access; all mutation must go through the
-// methods so that the compensation terms and the max index stay
-// consistent with it.
+// methods so that the compensation terms stay consistent with it.
 type Schedule struct {
 	Inst *etc.Instance
 	S    []int     // S[t] = machine of task t, or Unassigned
@@ -65,32 +58,20 @@ type Schedule struct {
 	// times: CT[m]+ctLo[m] is the compensated sum, CT[m] its correctly
 	// rounded head.
 	ctLo []float64
-	// tree is the tournament tree over machines: tree[1] is the index
-	// of the machine with the maximum CT (ties toward the lowest
-	// index), leaves start at tree[leaf], and empty slots hold -1.
-	tree []int32
-	leaf int
 }
 
 // New returns an empty schedule (all tasks unassigned, CT = ready times).
 func New(inst *etc.Instance) *Schedule {
-	leaf := 1
-	for leaf < inst.M {
-		leaf <<= 1
-	}
 	s := &Schedule{
 		Inst: inst,
 		S:    make([]int, inst.T),
 		CT:   make([]float64, inst.M),
 		ctLo: make([]float64, inst.M),
-		tree: make([]int32, 2*leaf),
-		leaf: leaf,
 	}
 	for t := range s.S {
 		s.S[t] = Unassigned
 	}
 	copy(s.CT, inst.Ready)
-	s.rebuildTree()
 	return s
 }
 
@@ -131,8 +112,7 @@ func FromAssignment(inst *etc.Instance, assign []int) (*Schedule, error) {
 }
 
 // SetAssignments overwrites the whole assignment vector at once and
-// rebuilds CT, the compensation terms and the max index with the
-// bulk-load kernel. Entries may be Unassigned. The result is
+// rebuilds CT and the compensation terms with the bulk-load kernel. Entries may be Unassigned. The result is
 // bit-identical to clearing s and Assigning each task in ascending
 // order; an invalid vector is rejected without modifying s.
 func (s *Schedule) SetAssignments(assign []int) error {
@@ -165,60 +145,13 @@ func accumulateAssign(inst *etc.Instance, a []int, ct, lo []float64) {
 	}
 }
 
-// loadFromS rebuilds CT, the compensation terms and the max index from
-// the current S with one accumulateAssign pass, bit-identically to
-// assigning every task incrementally in ascending order.
+// loadFromS rebuilds CT and the compensation terms from the current S
+// with one accumulateAssign pass, bit-identically to assigning every
+// task incrementally in ascending order.
 func (s *Schedule) loadFromS() {
 	copy(s.CT, s.Inst.Ready)
 	clear(s.ctLo)
 	accumulateAssign(s.Inst, s.S, s.CT, s.ctLo)
-	s.rebuildTree()
-}
-
-// maxOf returns the index of the machine with the larger completion
-// time, treating -1 as an empty slot and breaking ties toward a (the
-// left, lower-index subtree).
-func (s *Schedule) maxOf(a, b int32) int32 {
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	if s.CT[b] > s.CT[a] {
-		return b
-	}
-	return a
-}
-
-// rebuildTree recomputes every tournament node from CT in O(machines).
-func (s *Schedule) rebuildTree() {
-	for i := 0; i < s.leaf; i++ {
-		if i < len(s.CT) {
-			s.tree[s.leaf+i] = int32(i)
-		} else {
-			s.tree[s.leaf+i] = -1
-		}
-	}
-	for i := s.leaf - 1; i >= 1; i-- {
-		s.tree[i] = s.maxOf(s.tree[2*i], s.tree[2*i+1])
-	}
-}
-
-// fixup repairs the tournament path above machine m after CT[m]
-// changed. It walks toward the root but stops at the first node whose
-// stored winner is both unchanged and unaffected (a machine other than
-// m): every ancestor compares the same values as before, so the rest of
-// the path is already consistent.
-func (s *Schedule) fixup(m int) {
-	mi := int32(m)
-	for p := (s.leaf + m) >> 1; p >= 1; p >>= 1 {
-		w := s.maxOf(s.tree[2*p], s.tree[2*p+1])
-		if w == s.tree[p] && w != mi {
-			return
-		}
-		s.tree[p] = w
-	}
 }
 
 // accAdd performs one compensated (double-double) accumulation step on
@@ -238,22 +171,14 @@ func accAdd(hi, lo, v float64) (float64, float64) {
 	return nh, err - (nh - sum)
 }
 
-// accumulate adds v to machine m's compensated completion time without
-// repairing the tournament tree (the caller does, or rebuilds).
-func (s *Schedule) accumulate(m int, v float64) {
+// add applies one compensated update of v to machine m's completion
+// time.
+func (s *Schedule) add(m int, v float64) {
 	s.CT[m], s.ctLo[m] = accAdd(s.CT[m], s.ctLo[m], v)
 }
 
-// add applies one compensated update to machine m and repairs the max
-// index: O(log machines) worst case, O(1) when the update cannot change
-// the makespan.
-func (s *Schedule) add(m int, v float64) {
-	s.accumulate(m, v)
-	s.fixup(m)
-}
-
-// Assign places the unassigned task t on machine m, updating CT and the
-// makespan index in O(log machines). It panics if t is already assigned
+// Assign places the unassigned task t on machine m, updating CT in
+// O(1). It panics if t is already assigned
 // (use Move instead); that is a programming error, not a runtime
 // condition.
 func (s *Schedule) Assign(t, m int) {
@@ -264,9 +189,8 @@ func (s *Schedule) Assign(t, m int) {
 	s.add(m, s.Inst.TaskCosts(t)[m])
 }
 
-// Unassign removes task t from its machine, updating CT and the
-// makespan index in O(log machines). It is a no-op for unassigned
-// tasks.
+// Unassign removes task t from its machine, updating CT in O(1). It is
+// a no-op for unassigned tasks.
 func (s *Schedule) Unassign(t int) {
 	m := s.S[t]
 	if m == Unassigned {
@@ -276,8 +200,7 @@ func (s *Schedule) Unassign(t int) {
 	s.S[t] = Unassigned
 }
 
-// Move reassigns task t to machine m with an O(log machines) CT and
-// index update. Moving a task to its current machine is a no-op. Moving
+// Move reassigns task t to machine m with an O(1) CT update. Moving a task to its current machine is a no-op. Moving
 // an unassigned task is equivalent to Assign. Both ETC reads go through
 // the task's cost row, so source and destination costs usually share a
 // cache line.
@@ -305,18 +228,13 @@ func (s *Schedule) SetAssignment(t, m int) {
 }
 
 // SetRange overwrites the assignments of tasks start, start+1, … with
-// assign (entries may be Unassigned). The completion times receive
-// exactly SetAssignment's compensated updates in the same ascending
-// order — the old machine's removal, then the new machine's addition —
-// but the max index is rebuilt once at the end, in O(machines), instead
-// of being repaired per gene. The tournament tree is a pure function of
-// CT (every node is maxOf its children, which fixup maintains after
-// each update), so the result is bit-identical to a per-gene
-// SetAssignment loop. This is the crossover path, where a window of
-// differing genes would otherwise pay two tree repairs each.
+// assign (entries may be Unassigned), in O(1) per gene. The completion
+// times receive exactly SetAssignment's compensated updates in the same
+// ascending order — the old machine's removal, then the new machine's
+// addition — so the result is bit-identical to a per-gene SetAssignment
+// loop. This is the crossover path.
 func (s *Schedule) SetRange(start int, assign []int) {
 	dst := s.S[start : start+len(assign)]
-	changed := false
 	for i, to := range assign {
 		from := dst[i]
 		if from == to {
@@ -324,16 +242,12 @@ func (s *Schedule) SetRange(start int, assign []int) {
 		}
 		tc := s.Inst.TaskCosts(start + i)
 		if from != Unassigned {
-			s.accumulate(from, -tc[from])
+			s.add(from, -tc[from])
 		}
 		if to != Unassigned {
-			s.accumulate(to, tc[to])
+			s.add(to, tc[to])
 		}
 		dst[i] = to
-		changed = true
-	}
-	if changed {
-		s.rebuildTree()
 	}
 }
 
@@ -348,30 +262,40 @@ func (s *Schedule) Complete() bool {
 }
 
 // Makespan is the fitness of §2.2: the maximum completion time over all
-// machines (Eq. 3). It is an O(1) read of the tournament tree's root.
-// On a degenerate instance with no machines it returns 0.
+// machines (Eq. 3), an O(machines) scan of CT. On a degenerate instance
+// with no machines it returns 0.
 func (s *Schedule) Makespan() float64 {
-	if w := s.tree[1]; w >= 0 {
-		return s.CT[w]
-	}
-	return 0
+	_, mk := firstMax(s.CT)
+	return mk
 }
 
 // MakespanMachine returns the index of the machine that defines the
 // makespan (ties broken toward the lowest index) and its completion
-// time, in O(1). On a degenerate instance with no machines it returns
-// (-1, 0).
+// time, in O(machines). On a degenerate instance with no machines it
+// returns (-1, 0).
 func (s *Schedule) MakespanMachine() (machine int, ct float64) {
-	w := s.tree[1]
-	if w < 0 {
+	return firstMax(s.CT)
+}
+
+// firstMax returns the index and value of the first maximum of ct, so
+// ties go to the lowest index, or (-1, 0) when ct is empty. The running
+// maximum lives in a local rather than being re-read through the index.
+func firstMax(ct []float64) (int, float64) {
+	if len(ct) == 0 {
 		return -1, 0
 	}
-	return int(w), s.CT[w]
+	w, mx := 0, ct[0]
+	for i, c := range ct {
+		if c > mx {
+			w, mx = i, c
+		}
+	}
+	return w, mx
 }
 
 // Scratch is a reusable arena of buffers for the allocation-heavy
-// schedule queries (FlowtimeInto and callers of TasksOn,
-// MachinesByCompletion and LeastLoaded). The zero value is ready to
+// schedule queries (FlowtimeInto and callers of TasksOn and
+// MachinesByCompletion). The zero value is ready to
 // use; buffers grow on demand and are retained across calls, so one
 // Scratch per worker removes those queries from the allocator entirely.
 // A Scratch is not safe for concurrent use.
@@ -473,8 +397,7 @@ func (s *Schedule) FlowtimeInto(sc *Scratch) float64 {
 	return total
 }
 
-// RecomputeCT rebuilds CT (and the compensation terms and the max
-// index) from scratch; it exists to validate the incremental
+// RecomputeCT rebuilds CT (and the compensation terms) from scratch; it exists to validate the incremental
 // bookkeeping and to measure how much the incremental scheme saves
 // (BenchmarkIncrementalEval vs BenchmarkFullRecomputeEval, see the
 // README's "Performance & evaluation engine"). It is the bulk-load
@@ -549,8 +472,7 @@ func (s *Schedule) DriftBound() float64 {
 // Thanks to the compensated accumulation the tolerance is tight: the
 // recomputation's own plain summation error, (k+1)·ε per machine with k
 // summed terms, plus a few ulps of slack — no allowance for incremental
-// drift is needed (that is the bug this scheme fixes). It also verifies
-// that the tournament tree agrees with a scan of CT.
+// drift is needed (that is the bug this scheme fixes).
 func (s *Schedule) Validate() error {
 	ct := make([]float64, s.Inst.M)
 	counts := make([]int, s.Inst.M)
@@ -576,18 +498,6 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("schedule: CT[%d] = %v, recomputed %v (|diff| %v > tol %v)", m, s.CT[m], ct[m], diff, tol)
 		}
 	}
-	if s.Inst.M > 0 {
-		want, _ := s.MakespanMachine()
-		best := 0
-		for m := 1; m < s.Inst.M; m++ {
-			if s.CT[m] > s.CT[best] {
-				best = m
-			}
-		}
-		if want != best {
-			return fmt.Errorf("schedule: max index %d disagrees with CT scan %d", want, best)
-		}
-	}
 	return nil
 }
 
@@ -607,8 +517,6 @@ func (s *Schedule) Clone() *Schedule {
 		S:    append([]int(nil), s.S...),
 		CT:   append([]float64(nil), s.CT...),
 		ctLo: append([]float64(nil), s.ctLo...),
-		tree: append([]int32(nil), s.tree...),
-		leaf: s.leaf,
 	}
 }
 
@@ -625,7 +533,6 @@ func (s *Schedule) CopyFrom(src *Schedule) {
 	copy(s.S, src.S)
 	copy(s.CT, src.CT)
 	copy(s.ctLo, src.ctLo)
-	copy(s.tree, src.tree)
 }
 
 // HammingDistance counts tasks assigned to different machines in s and
@@ -689,9 +596,9 @@ func (s *Schedule) RandomTaskOn(m int, r *rng.Rand) int {
 	panic("schedule: RandomTaskOn lost a counted task")
 }
 
-// machineLess is the total order behind MachinesByCompletion and
-// LeastLoaded: ascending completion time, ties by index, making every
-// derived order deterministic.
+// machineLess is the total order behind MachinesByCompletion:
+// ascending completion time, ties by index, making every derived order
+// deterministic.
 func (s *Schedule) machineLess(a, b int) bool {
 	if s.CT[a] != s.CT[b] {
 		return s.CT[a] < s.CT[b]
@@ -742,47 +649,6 @@ func (s *Schedule) MachinesByCompletion(dst []int) []int {
 	dst = dst[:s.Inst.M]
 	for i := range dst {
 		dst[i] = i
-	}
-	s.sortMachines(dst)
-	return dst
-}
-
-// LeastLoaded writes into dst the n machines with the smallest
-// completion times, ascending (ties by index), and returns it. It is
-// the partial-selection companion to MachinesByCompletion for callers
-// that only need a least-loaded candidate set: O(M·log n) against the
-// full sort's O(M·log M), allocation-free when dst has capacity n.
-func (s *Schedule) LeastLoaded(dst []int, n int) []int {
-	m := len(s.CT)
-	if n > m {
-		n = m
-	}
-	if n <= 0 {
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]int, 0, n)
-	}
-	dst = dst[:0]
-	// Max-heap of the n best machines seen so far: the root is the
-	// worst of the kept set and is evicted by any better machine.
-	for mac := 0; mac < m; mac++ {
-		if len(dst) < n {
-			dst = append(dst, mac)
-			for i := len(dst) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !s.machineLess(dst[p], dst[i]) {
-					break
-				}
-				dst[p], dst[i] = dst[i], dst[p]
-				i = p
-			}
-			continue
-		}
-		if s.machineLess(mac, dst[0]) {
-			dst[0] = mac
-			s.siftDown(dst, 0, n)
-		}
 	}
 	s.sortMachines(dst)
 	return dst

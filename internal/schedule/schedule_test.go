@@ -148,6 +148,23 @@ func TestMakespanMachine(t *testing.T) {
 	if s.CT[m] != ct {
 		t.Fatal("MakespanMachine returned wrong machine")
 	}
+
+	// An exact CT tie between two machines goes to the lower index,
+	// wherever the tie sits: ETC 4 on machines 1 and 3, the rest 1.
+	tie, err := etc.New("tie", 2, 4, []float64{1, 4, 1, 1, 1, 1, 1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = New(tie)
+	s.Assign(0, 1)
+	s.Assign(1, 3)
+	if m, ct := s.MakespanMachine(); m != 1 || ct != 4 {
+		t.Fatalf("tied MakespanMachine = (%d, %v), want (1, 4)", m, ct)
+	}
+	s.Move(0, 0)
+	if m, ct := s.MakespanMachine(); m != 3 || ct != 4 {
+		t.Fatalf("after breaking the tie MakespanMachine = (%d, %v), want (3, 4)", m, ct)
+	}
 }
 
 func TestMakespanIncludesReady(t *testing.T) {
@@ -233,7 +250,7 @@ func TestCopyFromSelf(t *testing.T) {
 	s.Move(0, (s.S[0]+1)%in.M) // give the compensation words something to hold
 	want := s.Clone()
 	s.CopyFrom(s)
-	if !slices.Equal(s.S, want.S) || !slices.Equal(s.CT, want.CT) || !slices.Equal(s.ctLo, want.ctLo) || !slices.Equal(s.tree, want.tree) {
+	if !slices.Equal(s.S, want.S) || !slices.Equal(s.CT, want.CT) || !slices.Equal(s.ctLo, want.ctLo) {
 		t.Fatal("CopyFrom(self) changed the schedule")
 	}
 	if err := s.Validate(); err != nil {

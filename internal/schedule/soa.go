@@ -8,8 +8,8 @@ package schedule
 import "gridsched/internal/etc"
 
 // Arena holds n schedules whose fields alias contiguous backing planes:
-// one []int assignment plane (n×T), compensated completion-time lanes
-// (n×M each) and one tournament-tree plane. Every Schedule method works
+// one []int assignment plane (n×T) and compensated completion-time
+// lanes (n×M each). Every Schedule method works
 // unchanged on an arena cell; the only difference from n independent
 // New calls is the memory layout. Each cell's slices are capacity-
 // clipped to its own segment, so no method can spill into a neighbor.
@@ -21,15 +21,9 @@ type Arena struct {
 // NewArena returns an arena of n empty schedules (all tasks unassigned,
 // CT = ready times), state-identical to n New(inst) calls.
 func NewArena(inst *etc.Instance, n int) *Arena {
-	leaf := 1
-	for leaf < inst.M {
-		leaf <<= 1
-	}
-	tw := 2 * leaf
 	assign := make([]int, n*inst.T)
 	ct := make([]float64, n*inst.M)
 	ctLo := make([]float64, n*inst.M)
-	tree := make([]int32, n*tw)
 	a := &Arena{inst: inst, scheds: make([]Schedule, n)}
 	for i := range a.scheds {
 		s := &a.scheds[i]
@@ -37,13 +31,10 @@ func NewArena(inst *etc.Instance, n int) *Arena {
 		s.S = assign[i*inst.T : (i+1)*inst.T : (i+1)*inst.T]
 		s.CT = ct[i*inst.M : (i+1)*inst.M : (i+1)*inst.M]
 		s.ctLo = ctLo[i*inst.M : (i+1)*inst.M : (i+1)*inst.M]
-		s.tree = tree[i*tw : (i+1)*tw : (i+1)*tw]
-		s.leaf = leaf
 		for t := range s.S {
 			s.S[t] = Unassigned
 		}
 		copy(s.CT, inst.Ready)
-		s.rebuildTree()
 	}
 	return a
 }
