@@ -69,8 +69,8 @@ func requireSameChild(t *testing.T, label string, want, got *schedule.Schedule) 
 // two-task instances (the degenerate and smallest-window cases), the
 // paper's 512×16, a wide 8192×256 shape and partial parents. Each
 // child becomes the next round's first parent and also takes a shared
-// H2LL pass, so a compensation-tail or max-index difference that the
-// child's own bits do not show yet surfaces in later rounds.
+// H2LL pass, so a compensation-tail difference that the child's own
+// bits do not show yet surfaces in later rounds.
 func TestCrossoverMatchesReference(t *testing.T) {
 	shapes := []struct {
 		tasks, machines int

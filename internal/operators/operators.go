@@ -124,9 +124,8 @@ type Crossover interface {
 
 // OnePoint is the opx operator: the child takes p1's assignments before a
 // random cut point and p2's from the cut point on. CT is repaired
-// incrementally: starting from a copy of p1, only the suffix genes that
-// differ cause compensated updates, and Schedule.SetRange rebuilds the
-// makespan index once for the whole suffix.
+// incrementally: starting from a copy of p1, Schedule.SetRange copies
+// the suffix, and only the genes that differ cause compensated updates.
 type OnePoint struct{}
 
 // Name implements Crossover.
@@ -487,13 +486,12 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, to
 // re-sorts the machines by (CT, index) from the pooled order of the
 // previous call, which costs O(M) plus one shift per pair of machines
 // whose relative order changed. Each iteration then reads the makespan
-// machine off the right end of that order — the lowest-indexed of the
-// machines tied at the maximum CT, Schedule.MakespanMachine's rule —
-// picks its task by Schedule.RandomTaskOn's rule
-// (k := r.Intn(count), then k links down the machine's ascending list),
-// and scans the Candidates least-loaded machines in ascending (CT,
-// index) order, keeping the first strictly smallest new completion
-// time. A move relinks the task, updates the counts and repositions the
+// machine off the right end of that order, walking left over CT ties
+// to the lowest index (Schedule.MakespanMachine's rule), picks its task
+// by Schedule.RandomTaskOn's rule (k := r.Intn(count), then k links
+// down the machine's ascending list), and scans the Candidates
+// least-loaded machines in ascending (CT, index) order, keeping the
+// first strictly smallest new completion time. A move relinks the task, updates the counts and repositions the
 // two machines whose completion times changed, so an iteration costs
 // O(tasks on the makespan machine and the destination + Candidates)
 // plus the repositioning.

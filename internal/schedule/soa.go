@@ -9,10 +9,10 @@ import "gridsched/internal/etc"
 
 // Arena holds n schedules whose fields alias contiguous backing planes:
 // one []int assignment plane (n×T) and compensated completion-time
-// lanes (n×M each). Every Schedule method works
-// unchanged on an arena cell; the only difference from n independent
-// New calls is the memory layout. Each cell's slices are capacity-
-// clipped to its own segment, so no method can spill into a neighbor.
+// lanes (n×M each). Every Schedule method works unchanged on an arena
+// cell; the only difference from n independent New calls is the memory
+// layout. Each cell's slices are capacity-clipped to its own segment,
+// so no method can spill into a neighbor.
 type Arena struct {
 	inst   *etc.Instance
 	scheds []Schedule
