@@ -15,12 +15,12 @@ import (
 // verbatim as the scalar reference: each iteration draws the task off
 // the makespan machine with RandomTaskOn's full scan of the assignment
 // vector (one Intn over the machine's task count, then the k-th task in
-// ascending order), takes the least-loaded candidates as the prefix of a
-// full MachinesByCompletion sort and walks them in order with
-// per-element strict comparisons. The production Apply links and counts the tasks
-// in per-machine lists and re-sorts the machine order of its previous
-// call once per call, and maintains all of them across moves; this
-// reference pins the required bit-identical behavior.
+// ascending order), takes the least-loaded candidates as the prefix of
+// a full MachinesByCompletion sort and walks them in order with
+// per-element strict comparisons. The production Apply links and counts
+// the tasks in per-machine lists and re-sorts the machine order of its
+// previous call once per call, and maintains all of them across moves;
+// this reference pins the required bit-identical behavior.
 func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0

@@ -55,9 +55,9 @@ func bitsEqual(a, b float64) bool {
 }
 
 // requireSameState fails unless the two schedules agree bit-for-bit on
-// every piece of state that influences future trajectories: assignment
-// and completion-time heads AND compensation tails. It also compares
-// the makespan machines the two report.
+// every piece of state that influences future trajectories: assignment,
+// completion-time heads AND compensation tails. It also compares the
+// makespan machines the two report.
 func requireSameState(t *testing.T, want, got *Schedule, label string) {
 	t.Helper()
 	for i, m := range want.S {

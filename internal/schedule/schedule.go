@@ -279,8 +279,8 @@ func (s *Schedule) MakespanMachine() (machine int, ct float64) {
 
 // firstMax returns the index and value of the first maximum of ct, so
 // ties go to the lowest index, or (-1, 0) when ct is empty. It keeps
-// the running maximum in a local instead of re-reading ct[w]: about
-// twice as fast at 256 machines.
+// the running maximum in a local instead of re-reading ct[w], which
+// BenchmarkMakespan measured about 20% faster at 256 machines.
 func firstMax(ct []float64) (int, float64) {
 	if len(ct) == 0 {
 		return -1, 0

@@ -149,8 +149,8 @@ func TestMakespanMachine(t *testing.T) {
 		t.Fatal("MakespanMachine returned wrong machine")
 	}
 
-	// An exact CT tie between two machines goes to the lower index,
-	// wherever the tie sits: ETC 4 on machines 1 and 3, the rest 1.
+	// An exact CT tie between two machines goes to the lower index:
+	// ETC 4 on machines 1 and 3, the rest 1.
 	tie, err := etc.New("tie", 2, 4, []float64{1, 4, 1, 1, 1, 1, 1, 4})
 	if err != nil {
 		t.Fatal(err)
