@@ -33,12 +33,14 @@ func goldenHash(s *schedule.Schedule) uint64 {
 // H2LL, replacement — changes these values. A deliberate behaviour
 // change re-records them; a speed-up must not.
 //
-// The rows were last re-recorded at the single-draw epoch, when H2LL
-// switched from a reservoir over the makespan machine's tasks (one Intn
-// per task) to one Intn(count) per iteration. That draws from the same
-// uniform distribution but consumes the RNG differently, so every
-// trajectory moved; TestH2LLDrawDistribution is the evidence that the
-// outcome distribution did not.
+// The rows were last re-recorded at the rejection epoch, when H2LL
+// switched from one Intn(count) and a walk of a per-machine task list
+// (the single-draw epoch, which had replaced a reservoir over the
+// makespan machine's tasks) to rejection over the assignment vector,
+// with a per-call list of a machine whose sample missed. Each draws
+// from the same uniform distribution but consumes the RNG differently,
+// so every trajectory moved; TestH2LLDrawDistribution is the evidence
+// that the outcome distribution did not.
 func TestPACGAGoldenFingerprint(t *testing.T) {
 	golden := []struct {
 		instance      string
@@ -46,14 +48,14 @@ func TestPACGAGoldenFingerprint(t *testing.T) {
 		lsMoves       int64
 		assignmentFNV uint64
 	}{
-		{"u_c_hihi.0", 0x415cc4ae3b5291ff, 31472, 0xd430d4a3eb866aad},
-		{"u_i_hilo.0", 0x40f220d70cbe583a, 34172, 0x98e76c8e3cc458cb},
-		{"u_s_lohi.0", 0x4102b1c614c0f190, 35421, 0xb633fa24c18e4a27},
-		{"u_c_lolo.0", 0x40b4d229cefc9e7f, 29245, 0x838fcb9f8427d1c9},
-		{"u_c_hihi.0@64x8", 0x4144fa7ec24d4567, 19755, 0x8a7379993fa57642},
-		{"u_i_hilo.0@64x8", 0x40d8c758c2555b1f, 21989, 0xa537e463ab9cb84},
-		{"u_s_lohi.0@64x8", 0x40f0524a151aa7d6, 22048, 0xf58470c6053e12c2},
-		{"u_c_lolo.0@64x8", 0x4096b2eefee6d4a9, 20426, 0x7c717f0361890027},
+		{"u_c_hihi.0", 0x415c8ef4fa424399, 31652, 0xfdd40573a1d11628},
+		{"u_i_hilo.0", 0x40f2111915bc6e4f, 35456, 0x171b371da3600481},
+		{"u_s_lohi.0", 0x4102a2bc5b7eb4dc, 36891, 0x709afe79bea478a},
+		{"u_c_lolo.0", 0x40b4e357aa4fc4dc, 30482, 0xd019888859c82ee3},
+		{"u_c_hihi.0@64x8", 0x4144db20619fdc45, 20199, 0x499466f5d2642927},
+		{"u_i_hilo.0@64x8", 0x40d8859dd8876c26, 22446, 0xe898b6c236651d21},
+		{"u_s_lohi.0@64x8", 0x40f000df402fa439, 21843, 0x9f7188a4c1ae3b47},
+		{"u_c_lolo.0@64x8", 0x40968d2bef760cb6, 21088, 0x39761bf82af06347},
 	}
 	for _, g := range golden {
 		t.Run(g.instance, func(t *testing.T) {
@@ -88,14 +90,14 @@ func TestSyncCGAGoldenFingerprint(t *testing.T) {
 		lsMoves       int64
 		assignmentFNV uint64
 	}{
-		{"u_c_hihi.0", 0x415ca14f477e3756, 38747, 0x492f5089e9f42147},
-		{"u_i_hilo.0", 0x40f1fe887d0a623b, 40705, 0x361b142858451dc1},
-		{"u_s_lohi.0", 0x410231cc9b3e9c1d, 40926, 0x7122b4fd78190a4a},
-		{"u_c_lolo.0", 0x40b4d3baa28bd454, 37967, 0xe6f3e6ad20301860},
-		{"u_c_hihi.0@64x8", 0x41451fe64193532f, 25073, 0x8d1856830f2936a1},
-		{"u_i_hilo.0@64x8", 0x40d86fa0faf4dcce, 28726, 0x1c084b3f2dcbd581},
-		{"u_s_lohi.0@64x8", 0x40f13257868c7423, 28847, 0x6ee14a1d0147286},
-		{"u_c_lolo.0@64x8", 0x40967a2e3b71fea5, 25067, 0x2b72e94978158100},
+		{"u_c_hihi.0", 0x415cc58228781125, 38585, 0x5ac98c716719a845},
+		{"u_i_hilo.0", 0x40f1dff9c0fd8f08, 40953, 0xfebfa546071d10ae},
+		{"u_s_lohi.0", 0x4102a7073eb9a1c8, 41738, 0x277aed794bc70568},
+		{"u_c_lolo.0", 0x40b4d010e70ac8e2, 37989, 0x727f19e80c362d0e},
+		{"u_c_hihi.0@64x8", 0x4144f7ce7422c512, 25458, 0xcfc75786d95afc66},
+		{"u_i_hilo.0@64x8", 0x40d8df62a90781ff, 28361, 0xe9cfb96f1fcbaa6},
+		{"u_s_lohi.0@64x8", 0x40f07acc08a06cdd, 28536, 0x54ffa521e4b724e0},
+		{"u_c_lolo.0@64x8", 0x4096de98f1ffa9bc, 25045, 0x919f076255a0a5},
 	}
 	for _, g := range golden {
 		t.Run(g.instance, func(t *testing.T) {

@@ -139,24 +139,33 @@ func TestRunBeatsMinMinSeed(t *testing.T) {
 	}
 }
 
+// TestMigrationSpreadsEliteAcrossIslands checks that migration does not
+// hurt. With migration, the Min-min-derived elite of island 0 should
+// reach the other islands; without, islands evolve blind. The test
+// compares the overall best with migration on and off over the same
+// budget, per seed, and bounds the mean with/without ratio over 20
+// seeds by 1.05 (allow equality, forbid a meaningful regression). One
+// seed decides nothing: single-seed ratios swing by about ±6% either
+// way, and the island engine is timing-dependent.
 func TestMigrationSpreadsEliteAcrossIslands(t *testing.T) {
-	// With migration, the Min-min-derived elite of island 0 should reach
-	// the other islands; without, islands evolve blind. Compare overall
-	// best with migration on vs off over the same budget — migration
-	// should not hurt, and usually helps (allow equality, forbid a
-	// meaningful regression).
 	in := testInstance(t, 7)
-	with, err := run(in, Config{Seed: 11, MigrationEvery: 5, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
-	if err != nil {
-		t.Fatal(err)
+	const firstSeed, seeds = 11, 20
+	sum := 0.0
+	for seed := uint64(firstSeed); seed < firstSeed+seeds; seed++ {
+		with, err := run(in, Config{Seed: seed, MigrationEvery: 5, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// MigrationEvery beyond MaxGenerations disables migration entirely.
+		without, err := run(in, Config{Seed: seed, MigrationEvery: 1000, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += with.BestFitness / without.BestFitness
 	}
-	// MigrationEvery beyond MaxGenerations disables migration entirely.
-	without, err := run(in, Config{Seed: 11, MigrationEvery: 1000, SeedMinMin: true}, solver.Budget{MaxGenerations: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.BestFitness > without.BestFitness*1.05 {
-		t.Fatalf("migration made results >5%% worse: %v vs %v", with.BestFitness, without.BestFitness)
+	if mean := sum / seeds; mean > 1.05 {
+		t.Fatalf("migration made results >5%% worse on average: mean with/without ratio %.4f over seeds %d–%d",
+			mean, firstSeed, firstSeed+seeds-1)
 	}
 }
 
@@ -225,8 +234,8 @@ func TestSingleIslandGoldenFingerprint(t *testing.T) {
 		lsMoves       int64
 		assignmentFNV uint64
 	}{
-		{"u_c_hihi.0@64x8", 0x41449d91cbea41c5, 14960, 0x98212e8a3c3fe367},
-		{"u_i_hilo.0", 0x40f1f959a4a9d6ce, 27873, 0x63c7b85672876844},
+		{"u_c_hihi.0@64x8", 0x41445e3f309edfab, 14802, 0x3049b2bb67aabdc1},
+		{"u_i_hilo.0", 0x40f2007eb0568b85, 27347, 0x5ae6637c5bf640c6},
 	}
 	for _, g := range golden {
 		t.Run(g.instance, func(t *testing.T) {

@@ -11,16 +11,17 @@ import (
 	"gridsched/internal/schedule"
 )
 
-// referenceH2LLApply is the historical H2LL implementation, kept
-// verbatim as the scalar reference: each iteration draws the task off
-// the makespan machine with RandomTaskOn's full scan of the assignment
-// vector (one Intn over the machine's task count, then the k-th task in
-// ascending order), takes the least-loaded candidates as the prefix of
-// a full MachinesByCompletion sort and walks them in order with
-// per-element strict comparisons. The production Apply links and counts
-// the tasks in per-machine lists and re-sorts the machine order of its
-// previous call once per call, and maintains all of them across moves;
-// this reference pins the required bit-identical behavior.
+// referenceH2LLApply is the scalar reference of H2LL: each iteration
+// finds the makespan machine with MakespanMachine's scan of CT, draws
+// its task with a taskDraw of its own (the one draw production H2LL
+// shares: rejection over S, then a per-call list of a machine whose
+// sample missed), takes the least-loaded candidates as the prefix of a
+// full MachinesByCompletion sort and walks them in order with
+// per-element strict comparisons.
+// The production Apply instead keeps one (CT, index) machine order per
+// call, re-sorted from its previous call's and repositioned per move;
+// this reference pins that the makespan machine, the candidate order
+// and the destination it yields are bit-identical.
 func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -37,10 +38,11 @@ func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 		return 0
 	}
 	var cand []int
+	draw := taskDraw{mac: -1}
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
 		worst, worstCT := s.MakespanMachine()
-		task := s.RandomTaskOn(worst, r)
+		task, ti := draw.pick(s, worst, r)
 		if task < 0 {
 			break
 		}
@@ -55,6 +57,7 @@ func referenceH2LLApply(h H2LL, s *schedule.Schedule, r *rng.Rand) int {
 		}
 		if bestMac >= 0 {
 			s.Move(task, bestMac)
+			draw.moved(task, ti, bestMac)
 			moves++
 		}
 	}
@@ -94,9 +97,9 @@ func h2llMatchesReference(t *testing.T, h H2LL, s *schedule.Schedule, seed uint6
 // against the scalar reference over instance geometries covering tiny
 // machine counts, candidate-set clamping, the default Candidates =
 // machines/2, the paper's 512×16 and a wide 1024×256 shape, plus the
-// edge cases of the linked-list task draw: partial schedules, a makespan
-// machine that holds no task, and more iterations than the makespan
-// machine has tasks.
+// edge cases of the makespan-machine order: partial schedules, a
+// makespan machine that holds no task, and more iterations than the
+// makespan machine has tasks.
 func TestH2LLApplyMatchesReference(t *testing.T) {
 	shapes := []struct{ tasks, machines int }{
 		{16, 2},
@@ -129,7 +132,7 @@ func TestH2LLApplyMatchesReference(t *testing.T) {
 
 	// Machine 0 holds no task and its ready time sits below the initial
 	// makespan: H2LL drains the loaded machines until machine 0 defines
-	// the makespan, then must stop early at the empty list. With the
+	// the makespan, then must stop early at the empty machine. With the
 	// ready time above the makespan it stops at the first iteration.
 	for _, frac := range []float64{0.9, 2} {
 		t.Run(fmt.Sprintf("empty-makespan-machine-%g", frac), func(t *testing.T) {
@@ -174,7 +177,7 @@ func TestH2LLApplyMatchesReference(t *testing.T) {
 	})
 
 	// 40 tasks over 10 machines: 200 iterations far exceed any machine's
-	// task count, so task lists drain and refill repeatedly.
+	// task count, so machines drain and refill repeatedly.
 	t.Run("iterations-exceed-tasks", func(t *testing.T) {
 		in := testInstance(t, 40, 10, 290)
 		s := schedule.NewRandom(in, rng.New(17))
@@ -220,26 +223,16 @@ func smallIntInstance(t testing.TB, tasks, machines, hi int, seed uint64) *etc.I
 }
 
 // requireScratchMatches fails unless ws holds s's machine order
-// (MachinesByCompletion) and, per machine, s's tasks in ascending
-// order with their count.
+// (MachinesByCompletion) and, if its draw lists a machine, exactly that
+// machine's tasks.
 func requireScratchMatches(t *testing.T, label string, ws *h2llScratch, s *schedule.Schedule) {
 	t.Helper()
-	want := s.MachinesByCompletion(nil)
-	if !slices.Equal(ws.order, want) {
+	if want := s.MachinesByCompletion(nil); !slices.Equal(ws.order, want) {
 		t.Fatalf("%s: order %v, MachinesByCompletion %v", label, ws.order, want)
 	}
-	var tasks []int32
-	for m := range want {
-		tasks = tasks[:0]
-		for task := ws.head[m]; task >= 0; task = ws.next[task] {
-			tasks = append(tasks, task)
-		}
-		var wantTasks []int32
-		for _, task := range s.TasksOn(m, nil) {
-			wantTasks = append(wantTasks, int32(task))
-		}
-		if !slices.Equal(tasks, wantTasks) || int(ws.cnt[m]) != len(wantTasks) {
-			t.Fatalf("%s: machine %d list %v (count %d), want %v", label, m, tasks, ws.cnt[m], wantTasks)
+	if d := ws.draw; d.mac >= 0 {
+		if got, want := slices.Sorted(slices.Values(d.tasks)), s.TasksOn(d.mac, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: machine %d listed as %v, holds %v", label, d.mac, got, want)
 		}
 	}
 }
@@ -248,7 +241,9 @@ func requireScratchMatches(t *testing.T, label string, ws *h2llScratch, s *sched
 // h2llScratch against a fresh MachinesByCompletion sort: after load
 // re-sorts an order left by a different schedule, and after every one
 // of a series of random moves, each of which repositions only the two
-// machines whose completion times changed. The instances cover
+// machines whose completion times changed. Across the same moves, many
+// of them off or onto the listed machine, the task draw's list must
+// keep matching that machine's tasks. The instances cover
 // small-integer ETC (many CT ties), an empty machine whose completion
 // time is its ready time alone, and a 256-machine shape.
 func TestH2LLScratchOrderProperty(t *testing.T) {
@@ -283,27 +278,39 @@ func TestH2LLScratchOrderProperty(t *testing.T) {
 				}
 				return s
 			}
-			ws := new(h2llScratch)
+			ws := &h2llScratch{draw: taskDraw{mac: -1}}
 			first := random()
 			ws.load(first)
 			requireScratchMatches(t, "first load", ws, first)
 			for round := 0; round < 5; round++ {
 				s := random()
 				ws.load(s) // re-sorts the previous schedule's order
+				ws.draw.mac = -1
 				requireScratchMatches(t, fmt.Sprintf("round %d load", round), ws, s)
 				for mv := 0; mv < 60; mv++ {
-					task := int32(r.Intn(len(s.S)))
+					if mv%10 == 0 {
+						m := r.Intn(c.in.M)
+						ws.draw = taskDraw{mac: m, tasks: s.TasksOn(m, ws.draw.tasks[:0])}
+					}
+					task := r.Intn(len(s.S))
+					if d := ws.draw; len(d.tasks) > 0 && r.Bool(0.3) {
+						task = d.tasks[r.Intn(len(d.tasks))]
+					}
 					from := s.S[task]
 					to := r.Intn(c.in.M - 1)
 					if to >= from {
 						to++
 					}
-					prev := int32(-1)
-					for q := ws.head[from]; q != task; q = ws.next[q] {
-						prev = q
+					if from != ws.draw.mac && r.Bool(0.3) {
+						to = ws.draw.mac
 					}
-					s.Move(int(task), to)
-					ws.move(s, prev, task, from, to, slices.Index(ws.order, to))
+					i := -1
+					if from == ws.draw.mac {
+						i = slices.Index(ws.draw.tasks, task)
+					}
+					s.Move(task, to)
+					ws.move(s, from, to, slices.Index(ws.order, to))
+					ws.draw.moved(task, i, to)
 					requireScratchMatches(t, fmt.Sprintf("round %d move %d", round, mv), ws, s)
 				}
 			}

@@ -361,23 +361,62 @@ type H2LL struct {
 // Name implements LocalSearch.
 func (h H2LL) Name() string { return fmt.Sprintf("h2ll/%d", h.Iterations) }
 
-// h2llScratch is the pooled per-call state of H2LL.Apply: the machine
-// order and one counted, linked task list per machine, which let each
-// iteration skip the O(tasks) scan of the assignment vector and the
-// re-ranking of the machines. Pooling keeps Apply — called once per
-// offspring on every worker — off the allocator: after warm-up at a
-// shape it allocates nothing.
+// h2llScratch is the pooled per-call state of H2LL.Apply: the machines
+// in ascending (CT, index) order, whose prefix is the candidate set and
+// whose right end is the makespan machine, so no iteration re-ranks the
+// machines, and the task draw. Between calls the order keeps the last
+// schedule's, which load re-sorts from. Pooling keeps Apply — called
+// once per offspring on every worker — off the allocator: after warm-up
+// at a shape it allocates nothing.
 type h2llScratch struct {
-	// order holds the machines in ascending (CT, index) order; the
-	// candidate set is its prefix. Between calls it keeps the last
-	// schedule's order, which load re-sorts from.
 	order []int
-	// plane backs head, cnt and next in one allocation of
-	// 2·machines+tasks entries. Machine m's cnt[m] tasks, in ascending
-	// order, are head[m], next[head[m]], …, up to a -1; next of an
-	// unassigned task is unused.
-	plane           []int32
-	head, cnt, next []int32
+	draw  taskDraw
+}
+
+// taskDraw is H2LL's task draw within one call, uniform over the tasks
+// of the machine it is asked for. It samples by Schedule.SampleTaskOn;
+// when that misses, one scan lists the machine's tasks in ascending
+// order and tasks[Intn(n)] is the draw (no draw for an empty machine),
+// exactly RandomTaskOn's fallback. The list is kept for the rest of the
+// call: later draws on that machine take tasks[Intn(n)] straight away,
+// and moved keeps the list exact. So a makespan machine with few tasks,
+// which H2LL draws from again and again once it stalls, costs one scan
+// per call, not one per iteration. Every branch draws afresh, so each
+// draw is uniform over the machine's tasks.
+type taskDraw struct {
+	mac   int   // the listed machine, or -1
+	tasks []int // mac's tasks
+}
+
+// pick returns a uniformly drawn task of machine m and its index in the
+// list, or -1 there when it came from SampleTaskOn; task is -1 when m
+// holds no task.
+func (d *taskDraw) pick(s *schedule.Schedule, m int, r *rng.Rand) (task, i int) {
+	if m != d.mac {
+		if task := s.SampleTaskOn(m, r); task >= 0 {
+			return task, -1
+		}
+		d.mac, d.tasks = m, s.TasksOn(m, d.tasks[:0])
+	}
+	if len(d.tasks) == 0 {
+		return -1, -1
+	}
+	i = r.Intn(len(d.tasks))
+	return d.tasks[i], i
+}
+
+// moved mirrors s.Move(task, to) for a task that pick returned at list
+// index i: a listed task leaves the list by swap-remove, and a task
+// moving onto the listed machine is appended.
+func (d *taskDraw) moved(task, i, to int) {
+	if i >= 0 {
+		last := len(d.tasks) - 1
+		d.tasks[i] = d.tasks[last]
+		d.tasks = d.tasks[:last]
+	}
+	if to == d.mac {
+		d.tasks = append(d.tasks, task)
+	}
 }
 
 var h2llPool = sync.Pool{New: func() any { return new(h2llScratch) }}
@@ -388,83 +427,39 @@ func machineBefore(ct []float64, a, b int) bool {
 	return ct[a] < ct[b] || ct[a] == ct[b] && a < b
 }
 
-// load orders the machines and links and counts s's assigned tasks into
-// their machines' lists in one descending pass over S, so every list
-// comes out in ascending task order.
-//
-// The order is insertion-sorted from the one the scratch already holds:
-// offspring bred one after another come from neighbouring parents, so
-// their machine orders differ in few places and few machines move. Only
-// when the machine count changed does it start over with
-// MachinesByCompletion's heap sort. (CT, index) is a total order, so
-// either way the result is the same unique sorted order.
+// load orders s's machines. It insertion-sorts the order the scratch
+// already holds: offspring bred one after another come from
+// neighbouring parents, so their machine orders differ in few places
+// and few machines move. Only when the machine count changed does it
+// start over with MachinesByCompletion's heap sort. (CT, index) is a
+// total order, so either way the result is the same unique sorted order.
 func (ws *h2llScratch) load(s *schedule.Schedule) {
-	m, t := s.Inst.M, len(s.S)
-	if len(ws.order) != m {
+	if len(ws.order) != s.Inst.M {
 		ws.order = s.MachinesByCompletion(ws.order)
-	} else {
-		ct, order := s.CT, ws.order
-		for i := 1; i < m; i++ {
-			mac := order[i]
-			j := i
-			for ; j > 0 && machineBefore(ct, mac, order[j-1]); j-- {
-				order[j] = order[j-1]
-			}
-			order[j] = mac
+		return
+	}
+	ct, order := s.CT, ws.order
+	for i := 1; i < len(order); i++ {
+		mac := order[i]
+		j := i
+		for ; j > 0 && machineBefore(ct, mac, order[j-1]); j-- {
+			order[j] = order[j-1]
 		}
-	}
-	if cap(ws.plane) < 2*m+t {
-		ws.plane = make([]int32, 2*m+t)
-	}
-	head, cnt, next := ws.plane[:m], ws.plane[m:2*m], ws.plane[2*m:2*m+t]
-	ws.head, ws.cnt, ws.next = head, cnt, next
-	for i := range head {
-		head[i] = -1
-		cnt[i] = 0
-	}
-	S := s.S
-	for task := t - 1; task >= 0; task-- {
-		if mac := S[task]; mac != schedule.Unassigned {
-			next[task] = head[mac]
-			head[mac] = int32(task)
-			cnt[mac]++
-		}
+		order[j] = mac
 	}
 }
 
-// move mirrors s.Move(task, to) for a task of machine from's list whose
-// predecessor there is prev (-1 for the head), with to at position toPos
-// of the order: it unlinks the task, links it in ascending position
-// into machine to's list, and restores the (CT, index) machine order.
-// Only from's and to's completion times changed, and each in one
-// direction: ETC is positive and the compensated update rounds
-// monotonically, so to's rose and from's fell. to therefore bubbles
-// right from toPos; from, then found by a scan from the right end
-// (the makespan machine sits there, behind at most its CT ties and
-// to), bubbles left. Passing each other is fine: once to has moved, the
-// order is sorted but for from, whose leftward pass finishes the job.
-// The cost is the walk of to's list plus the distances the two
-// machines travel, not O(M).
-func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, toPos int) {
-	head, next := ws.head, ws.next
-	if prev < 0 {
-		head[from] = next[task]
-	} else {
-		next[prev] = next[task]
-	}
-	ws.cnt[from]--
-	ws.cnt[to]++
-	p, q := int32(-1), head[to]
-	for q >= 0 && q < task {
-		p, q = q, next[q]
-	}
-	next[task] = q
-	if p < 0 {
-		head[to] = task
-	} else {
-		next[p] = task
-	}
-
+// move restores the (CT, index) order after s.Move took a task from
+// machine from to machine to, which sat at position toPos. Only those
+// two completion times changed, and each in one direction: ETC is
+// positive and the compensated update rounds monotonically, so to's
+// rose and from's fell. to therefore bubbles right from toPos; from,
+// then found by a scan from the right end (the makespan machine sits
+// there, behind at most its CT ties and to), bubbles left. Passing each
+// other is fine: once to has moved, the order is sorted but for from,
+// whose leftward pass finishes the job. The cost is the distances the
+// two machines travel, not O(M).
+func (ws *h2llScratch) move(s *schedule.Schedule, from, to, toPos int) {
 	ct, order := s.CT, ws.order
 	i := toPos
 	for ; i+1 < len(order) && machineBefore(ct, order[i+1], to); i++ {
@@ -481,20 +476,20 @@ func (ws *h2llScratch) move(s *schedule.Schedule, prev, task int32, from, to, to
 	order[i] = from
 }
 
-// Apply implements LocalSearch. The O(tasks) work happens once per
-// call: load links the tasks into counted per-machine lists and
-// re-sorts the machines by (CT, index) from the pooled order of the
-// previous call, which costs O(M) plus one shift per pair of machines
-// whose relative order changed. Each iteration then reads the makespan
-// machine off the right end of that order, walking left over CT ties
-// to the lowest index (Schedule.MakespanMachine's rule), picks its task
-// by Schedule.RandomTaskOn's rule (k := r.Intn(count), then k links
-// down the machine's ascending list), and scans the Candidates
-// least-loaded machines in ascending (CT, index) order, keeping the
-// first strictly smallest new completion time. A move relinks the task, updates the counts and repositions the
-// two machines whose completion times changed, so an iteration costs
-// O(tasks on the makespan machine and the destination + Candidates)
-// plus the repositioning.
+// Apply implements LocalSearch. Once per call, load re-sorts the
+// machines by (CT, index) from the pooled order of the previous call,
+// which costs O(M) plus one shift per pair of machines whose relative
+// order changed. Each iteration then reads the makespan machine off the
+// right end of that order, walking left over CT ties to the lowest
+// index (Schedule.MakespanMachine's rule), draws its task with
+// taskDraw (rejection over S, about M candidates for a machine with a
+// fair share of the tasks), and scans the Candidates least-loaded
+// machines in ascending (CT, index) order, keeping the first strictly
+// smallest new completion time. A move repositions the two machines
+// whose completion times changed and updates the draw's list. No step
+// of an iteration passes over S unless a sample misses and the draw
+// lists the machine, at most once per machine in a row; that is also
+// how an empty makespan machine ends the call.
 func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	if h.Iterations <= 0 {
 		return 0
@@ -513,6 +508,7 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	ws := h2llPool.Get().(*h2llScratch)
 	defer h2llPool.Put(ws)
 	ws.load(s)
+	ws.draw.mac = -1
 	moves := 0
 	for it := 0; it < h.Iterations; it++ {
 		w := m - 1
@@ -521,18 +517,14 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 			w--
 		}
 		worst := ws.order[w]
-		n := ws.cnt[worst]
-		if n == 0 {
+		task, ti := ws.draw.pick(s, worst, r)
+		if task < 0 {
 			// The makespan machine holds no task (all load is ready
 			// time); nothing can move, and further iterations would pick
 			// the same machine.
 			break
 		}
-		task, prev := ws.head[worst], int32(-1)
-		for k := r.Intn(int(n)); k > 0; k-- {
-			task, prev = ws.next[task], task
-		}
-		costs := s.Inst.TaskCosts(int(task))
+		costs := s.Inst.TaskCosts(task)
 		// A candidate can tie-collide with the makespan machine itself;
 		// the strict < against worstCT (ETC is positive) keeps self-moves
 		// impossible.
@@ -544,8 +536,9 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 			}
 		}
 		if bestMac >= 0 {
-			s.Move(int(task), bestMac)
-			ws.move(s, prev, task, worst, bestMac, bestPos)
+			s.Move(task, bestMac)
+			ws.move(s, worst, bestMac, bestPos)
+			ws.draw.moved(task, ti, bestMac)
 			moves++
 		}
 	}

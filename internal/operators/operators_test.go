@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gridsched/internal/etc"
+	"gridsched/internal/heuristics"
 	"gridsched/internal/rng"
 	"gridsched/internal/schedule"
 )
@@ -474,50 +475,256 @@ func TestH2LLMovesComeOffWorstMachine(t *testing.T) {
 	}
 }
 
-// TestH2LLOneDrawPerIteration pins H2LL's RNG contract directly: one
-// iteration draws its task off the makespan machine with exactly one
-// Intn(n), where n is that machine's task count, and takes the draw's
-// k-th task in ascending order, so the moved task is uniform over the n.
-// The schedule stacks all n tasks on machine 0 with unit costs, so every
-// candidate accepts the move.
-func TestH2LLOneDrawPerIteration(t *testing.T) {
-	const n, machines = 4, 4
-	row := make([]float64, n*machines)
+// specSampleTaskOn is Schedule.SampleTaskOn's RNG contract written out:
+// up to 2·M r.Uint64() calls, each split into its high then its low 32
+// bits x; x picks task k = ⌊x·T/2^32⌋ unless the low word of x·T is
+// below 2^32 mod T (Lemire's exact rejection), and the first such task
+// on machine m is the draw. It returns -1 when all of them miss.
+func specSampleTaskOn(s *schedule.Schedule, m int, r *rng.Rand) int {
+	n := uint64(len(s.S))
+	for i := 0; i < 2*s.Inst.M; i++ {
+		v := r.Uint64()
+		for _, x := range [2]uint64{v >> 32, v & (1<<32 - 1)} {
+			if p := x * n; p%(1<<32) >= (1<<32)%n && s.S[p>>32] == m {
+				return int(p >> 32)
+			}
+		}
+	}
+	return -1
+}
+
+// specRandomTaskOn is Schedule.RandomTaskOn's RNG contract, which is
+// also H2LL's for the first draw on a machine in a call:
+// specSampleTaskOn, and when it misses, m's tasks in ascending order
+// and one Intn over them, or -1 without a draw for an empty machine.
+// fellBack reports the second branch.
+func specRandomTaskOn(s *schedule.Schedule, m int, r *rng.Rand) (task int, fellBack bool) {
+	if task := specSampleTaskOn(s, m, r); task >= 0 {
+		return task, false
+	}
+	tasks := s.TasksOn(m, nil)
+	if len(tasks) == 0 {
+		return -1, true
+	}
+	return tasks[r.Intn(len(tasks))], true
+}
+
+// TestH2LLDrawContract pins H2LL's RNG contract. One iteration draws
+// its task off the makespan machine by specRandomTaskOn and consumes
+// nothing else: the "stacked" schedule piles tasks on machine 0 with
+// unit costs, so every candidate accepts the move, and the moved task
+// must be the drawn one. Once a sample has missed on a machine, later
+// draws on it in the same call take one Intn over its listed tasks and
+// no sample: in the "stalled" schedule the makespan machine holds one
+// task that no candidate accepts, so a 20-iteration call draws on it 20
+// times, and the next call starts with a sample again.
+func TestH2LLDrawContract(t *testing.T) {
+	const tasks, machines = 40, 4
+	row := make([]float64, tasks*machines)
 	for i := range row {
 		row[i] = 1
 	}
-	in, err := etc.New("stacked", n, machines, row)
+	in, err := etc.New("stacked", tasks, machines, row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(10)
-	counts := make([]int, n)
-	for trial := 0; trial < 1000*n; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		s := schedule.New(in)
-		for task := 0; task < n; task++ {
-			s.Assign(task, 0)
+		for task := 0; task < tasks; task++ {
+			if task%4 == 0 || r.Bool(0.3) {
+				s.Assign(task, 0) // at least 10 tasks: machine 0 is the makespan machine
+			} else {
+				s.Assign(task, 1+r.Intn(machines-1))
+			}
 		}
+		before := s.Clone()
 		twin := *r
-		k := twin.Intn(n)
+		k, _ := specRandomTaskOn(before, 0, &twin)
 		if moves := (H2LL{Iterations: 1}).Apply(s, r); moves != 1 {
 			t.Fatalf("trial %d: %d moves, want 1", trial, moves)
 		}
 		if *r != twin {
-			t.Fatalf("trial %d: Apply consumed a different RNG stream than one Intn(%d)", trial, n)
+			t.Fatalf("trial %d: Apply consumed a different RNG stream than the specified draw", trial)
 		}
-		if got := s.TasksOn(0, nil); len(got) != n-1 {
-			t.Fatalf("trial %d: machine 0 keeps tasks %v", trial, got)
-		}
-		if s.S[k] == 0 {
-			t.Fatalf("trial %d: task %d drawn but not moved", trial, k)
-		}
-		counts[k]++
-	}
-	for task, c := range counts {
-		if c < 700 || c > 1300 {
-			t.Fatalf("H2LL draw biased: task %d moved %d/%d times", task, c, 1000*n)
+		if d := s.HammingDistance(before); d != 1 || s.S[k] == 0 {
+			t.Fatalf("trial %d: drew task %d, but it is on machine %d and %d genes changed", trial, k, s.S[k], d)
 		}
 	}
+
+	// Task 0 costs 1000 on machine 0 and 10^6 elsewhere; the other 511
+	// tasks cost 1 and spread over machines 1–15.
+	const sTasks, sMachines = 512, 16
+	row = make([]float64, sTasks*sMachines)
+	for i := range row {
+		row[i] = 1
+	}
+	for m := 1; m < sMachines; m++ {
+		row[m] = 1e6
+	}
+	row[0] = 1000
+	stalled, err := etc.New("stalled", sTasks, sMachines, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schedule.New(stalled)
+	s.Assign(0, 0)
+	for task := 1; task < sTasks; task++ {
+		s.Assign(task, 1+task%(sMachines-1))
+	}
+	misses := 0
+	for call := 0; call < 50; call++ {
+		twin := *r
+		listed := false
+		for it := 0; it < 20; it++ {
+			if !listed {
+				if specSampleTaskOn(s, 0, &twin) >= 0 {
+					continue
+				}
+				listed = true
+				misses++
+			}
+			twin.Intn(1)
+		}
+		if moves := (H2LL{Iterations: 20}).Apply(s, r); moves != 0 {
+			t.Fatalf("call %d: %d moves on the stalled schedule", call, moves)
+		}
+		if *r != twin {
+			t.Fatalf("call %d: Apply consumed a different RNG stream than 20 specified draws", call)
+		}
+	}
+	if misses == 0 {
+		t.Fatal("no sample missed, so the listed draws went untested")
+	}
+}
+
+// requireUniform fails unless the draws counted in count spread
+// uniformly over tasks: a chi-square test at p ≥ 0.001, its p-value by
+// the Wilson–Hilferty cube-root normal approximation (accurate to the
+// third digit from 2 degrees of freedom). It returns the statistic.
+func requireUniform(t *testing.T, count map[int]int, tasks []int, draws int) float64 {
+	t.Helper()
+	exp := float64(draws) / float64(len(tasks))
+	stat := 0.0
+	for _, task := range tasks {
+		d := float64(count[task]) - exp
+		stat += d * d / exp
+	}
+	if len(tasks) > 1 {
+		k := float64(len(tasks) - 1)
+		z := (math.Cbrt(stat/k) - (1 - 2/(9*k))) / math.Sqrt(2/(9*k))
+		if p := math.Erfc(z/math.Sqrt2) / 2; p < 0.001 {
+			t.Errorf("chi-square %.1f over %d tasks: p = %.2g", stat, len(tasks), p)
+		}
+	}
+	return stat
+}
+
+// TestH2LLDrawUniform checks RandomTaskOn, H2LL's first draw on a
+// machine, against specRandomTaskOn draw by draw (same task, same RNG
+// state after) and for uniformity by chi-square on a skewed 512×16
+// schedule: machine 0 holds 64 tasks (the sample hits), machine 2 holds
+// 3 tasks (most draws reach the exact fallback) and machine 1 holds 1
+// task (the fallback nearly always runs, and must return it). H2LL's
+// later draws on a listed machine get the same chi-square. An empty
+// makespan machine on the ready-only instance must stop H2LL at its
+// first iteration, after exactly one sample's 2·M Uint64s.
+func TestH2LLDrawUniform(t *testing.T) {
+	in := testInstance(t, 512, 16, 21)
+	r := rng.New(22)
+	s := schedule.New(in)
+	held := make([][]int, in.M)
+	for task := range s.S {
+		m := 3 + r.Intn(in.M-3)
+		switch {
+		case task%8 == 0:
+			m = 0
+		case task == 5:
+			m = 1
+		case task == 7 || task == 300 || task == 511:
+			m = 2
+		}
+		s.Assign(task, m)
+		held[m] = append(held[m], task)
+	}
+	for _, c := range []struct {
+		name  string
+		mac   int
+		draws int
+	}{{"many", 0, 64 * 200}, {"few", 2, 3 * 2000}, {"one", 1, 2000}} {
+		t.Run(c.name, func(t *testing.T) {
+			count := map[int]int{}
+			fellBack := 0
+			for i := 0; i < c.draws; i++ {
+				twin := *r
+				got := s.RandomTaskOn(c.mac, r)
+				want, fell := specRandomTaskOn(s, c.mac, &twin)
+				if got != want || *r != twin {
+					t.Fatalf("draw %d: RandomTaskOn = %d, specified draw %d (same RNG state after: %v)", i, got, want, *r == twin)
+				}
+				if s.S[got] != c.mac {
+					t.Fatalf("draw %d: task %d is on machine %d", i, got, s.S[got])
+				}
+				count[got]++
+				if fell {
+					fellBack++
+				}
+			}
+			n := len(held[c.mac])
+			stat := requireUniform(t, count, held[c.mac], c.draws)
+			t.Logf("%d tasks, %d draws, chi-square %.1f, %d exact fallbacks", n, c.draws, stat, fellBack)
+			// Each of the 4·M candidates hits with probability n/T, so
+			// the fallback count is binomial; allow 4 standard deviations.
+			miss := math.Pow(1-float64(n)/float64(in.T), float64(4*in.M))
+			mean := miss * float64(c.draws)
+			if d := math.Abs(float64(fellBack) - mean); d > 4*math.Sqrt(mean*(1-miss))+1 {
+				t.Errorf("%d exact fallbacks in %d draws, want about %.0f", fellBack, c.draws, mean)
+			}
+		})
+	}
+
+	// Once a sample has missed in an H2LL call, draws on that machine
+	// take its listed tasks.
+	t.Run("listed", func(t *testing.T) {
+		d := taskDraw{mac: 0, tasks: s.TasksOn(0, nil)}
+		count := map[int]int{}
+		const draws = 64 * 200
+		for i := 0; i < draws; i++ {
+			task, k := d.pick(s, 0, r)
+			if k < 0 || s.S[task] != 0 {
+				t.Fatalf("draw %d: task %d of machine %d at list index %d", i, task, s.S[task], k)
+			}
+			count[task]++
+		}
+		requireUniform(t, count, held[0], draws)
+	})
+
+	t.Run("empty-makespan-machine", func(t *testing.T) {
+		tied := smallIntInstance(t, 96, 12, 3, 1)
+		ready := make([]float64, tied.M)
+		ready[5] = 400
+		readyOnly, err := tied.WithReady(ready)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := schedule.New(readyOnly)
+		for task := range s.S {
+			s.Assign(task, task%4) // machines 0–3; 5 stays empty
+		}
+		if w, _ := s.MakespanMachine(); w != 5 {
+			t.Fatalf("makespan machine %d, want the empty machine 5", w)
+		}
+		before, twin := s.Clone(), *r
+		for i := 0; i < 2*readyOnly.M; i++ {
+			twin.Uint64()
+		}
+		if moves := (H2LL{Iterations: 10}).Apply(s, r); moves != 0 || s.HammingDistance(before) != 0 {
+			t.Fatalf("%d moves on an empty makespan machine", moves)
+		}
+		if *r != twin {
+			t.Fatal("H2LL did not stop after one draw of 2·M Uint64s on the empty makespan machine")
+		}
+	})
 }
 
 // Property: H2LL preserves completeness, the CT invariant, and
@@ -599,30 +806,58 @@ func BenchmarkH2LL5(b *testing.B) {
 }
 
 // BenchmarkH2LLApply measures one H2LL pass as breeding calls it: on a
-// fresh child each time, so the per-call setup (the task lists and the
-// machine order) counts as it does per offspring. BenchmarkH2LL5
-// re-applies to one schedule, whose order stops changing as it
-// converges. The children cycle through a ring of 64 distinct
-// schedules, each the previous one after a move mutation and a short
-// H2LL pass, like offspring of neighbouring parents; each call copies
-// its ring entry into a work schedule first, as breeding copies parent
-// 1 into the child.
+// fresh child each time, so the per-call setup (the machine order)
+// counts as it does per offspring. BenchmarkH2LL5 re-applies to one
+// schedule, whose order stops changing as it converges. The children
+// cycle through a ring of 64 distinct schedules, each the previous one
+// after a move mutation and a short H2LL pass, like offspring of
+// neighbouring parents; each call copies its ring entry into a work
+// schedule first, as breeding copies parent 1 into the child.
+//
+// The -it64 rows are the long sweeps of the h2ll solver: 64 iterations
+// per call on a ring grown from Min-min by the solver's kick of 8 random
+// moves and a 64-iteration sweep. Their makespan machines can hold few
+// tasks and the sweeps run to a stall, so they pin the cost of
+// RandomTaskOn's exact fallback scan.
 func BenchmarkH2LLApply(b *testing.B) {
-	for _, sh := range []struct{ tasks, machines int }{{512, 16}, {8192, 256}} {
-		b.Run(fmt.Sprintf("%dx%d", sh.tasks, sh.machines), func(b *testing.B) {
+	for _, sh := range []struct {
+		tasks, machines, iters int
+		minmin                 bool
+	}{
+		{512, 16, 5, false},
+		{8192, 256, 5, false},
+		{512, 16, 64, true},
+		{8192, 256, 64, true},
+	} {
+		name := fmt.Sprintf("%dx%d", sh.tasks, sh.machines)
+		if sh.minmin {
+			name += fmt.Sprintf("-it%d", sh.iters)
+		}
+		b.Run(name, func(b *testing.B) {
 			in := testInstance(b, sh.tasks, sh.machines, 1)
 			r := rng.New(1)
+			h := H2LL{Iterations: sh.iters}
 			ring := make([]*schedule.Schedule, 64)
-			prev := schedule.NewRandom(in, r)
-			H2LL{Iterations: 200}.Apply(prev, r)
+			var prev *schedule.Schedule
+			if sh.minmin {
+				prev = heuristics.MinMin(in)
+			} else {
+				prev = schedule.NewRandom(in, r)
+				H2LL{Iterations: 200}.Apply(prev, r)
+			}
 			for i := range ring {
 				c := prev.Clone()
-				Move{}.Mutate(c, r)
-				H2LL{Iterations: 5}.Apply(c, r)
+				if sh.minmin {
+					for k := 0; k < 8; k++ {
+						c.Move(r.Intn(in.T), r.Intn(in.M))
+					}
+				} else {
+					Move{}.Mutate(c, r)
+				}
+				H2LL{Iterations: sh.iters}.Apply(c, r)
 				ring[i], prev = c, c
 			}
 			work := schedule.New(in)
-			h := H2LL{Iterations: 5}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -575,16 +575,19 @@ func (s *Schedule) CountOn(m int) int {
 }
 
 // RandomTaskOn returns a uniformly chosen task assigned to machine m, or
-// -1 if the machine is empty. It counts the machine's tasks, draws
-// k := r.Intn(count) — one draw, none for an empty machine — and
-// returns the k-th of them in ascending task order. H2LL.Apply draws
-// its task off the makespan machine by the same rule.
+// -1 if the machine is empty. It is SampleTaskOn's draw or, when that
+// misses, the exact count and pick: k := r.Intn(count), no draw for an
+// empty machine, and the k-th of m's tasks in ascending order. The
+// fallback draws afresh, so the mixture is still uniform.
 func (s *Schedule) RandomTaskOn(m int, r *rng.Rand) int {
-	n := s.CountOn(m)
-	if n == 0 {
+	if t := s.SampleTaskOn(m, r); t >= 0 {
+		return t
+	}
+	k := s.CountOn(m)
+	if k == 0 {
 		return -1
 	}
-	k := r.Intn(n)
+	k = r.Intn(k)
 	for t, mm := range s.S {
 		if mm != m {
 			continue
@@ -595,6 +598,34 @@ func (s *Schedule) RandomTaskOn(m int, r *rng.Rand) int {
 		k--
 	}
 	panic("schedule: RandomTaskOn lost a counted task")
+}
+
+// SampleTaskOn draws a task of machine m by rejection over S, or returns
+// -1 when it misses. Each r.Uint64() gives two 32-bit candidates, the
+// high half first, and each maps to a task t in [0, T) by Lemire's
+// multiply-shift with its exact rejection threshold; the first t with
+// S[t] == m is the draw, uniform over m's tasks. A machine holding
+// about T/M of them is hit after about M candidates without a pass over
+// S. It gives up after 2·M Uint64s (at once if T is 0 or T ≥ 2^32,
+// which 32-bit candidates cannot address); an empty machine always
+// misses. H2LL.Apply draws its task off the makespan machine here.
+func (s *Schedule) SampleTaskOn(m int, r *rng.Rand) int {
+	S := s.S
+	n := uint64(len(S))
+	if n == 0 || n > math.MaxUint32 {
+		return -1
+	}
+	thresh := uint32(-n) % uint32(n) // 2^32 mod n
+	for i := 2 * s.Inst.M; i > 0; i-- {
+		v := r.Uint64()
+		if p := (v >> 32) * n; uint32(p) >= thresh && S[p>>32] == m {
+			return int(p >> 32)
+		}
+		if p := (v & math.MaxUint32) * n; uint32(p) >= thresh && S[p>>32] == m {
+			return int(p >> 32)
+		}
+	}
+	return -1
 }
 
 // machineLess is the total order behind MachinesByCompletion:
