@@ -195,7 +195,6 @@ func runEngine(ctx context.Context, engine string, inst *gridsched.Instance, p g
 			MutProb:      p.MutProb,
 			Local:        p.Local,
 			LocalProb:    p.LocalProb,
-			Replacement:  p.Replacement,
 			SeedMinMin:   !p.DisableMinMinSeed,
 			Seed:         p.Seed,
 		}}

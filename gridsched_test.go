@@ -188,23 +188,6 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 }
 
-func TestFacadeFlowtimeWeight(t *testing.T) {
-	in, err := GenerateInstance("u_i_hilo.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	p.GridW, p.GridH = 8, 8
-	p.FlowtimeWeight = 0.5
-	res, err := PACGA{Params: p}.Solve(context.Background(), in, Budget{MaxEvaluations: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestFitness <= 0 {
-		t.Fatal("degenerate weighted fitness")
-	}
-}
-
 func TestFacadeDiversityStudy(t *testing.T) {
 	in, err := Generate(GenSpec{Class: Class{Consistency: Inconsistent, TaskHet: HighHet, MachineHet: HighHet}, Tasks: 48, Machines: 6, Seed: 2})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"gridsched/internal/heuristics"
 	"gridsched/internal/operators"
 	"gridsched/internal/rng"
-	"gridsched/internal/schedule"
 	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
@@ -70,11 +69,22 @@ func TestDefaultParamsMatchTable1(t *testing.T) {
 	if p.Mutation.Name() != "move" {
 		t.Fatalf("mutation %q, want move", p.Mutation.Name())
 	}
-	if p.Replacement != operators.ReplaceIfBetter {
-		t.Fatal("replacement not replace-if-better")
-	}
 	if p.Threads < 1 || p.Threads > 4 {
 		t.Fatalf("threads %d outside the paper's 1..4 range", p.Threads)
+	}
+}
+
+// TestPACGAReproducible pins Reproducible to the thread count Solve
+// runs with: Threads 0 defaults to 3 racing workers.
+func TestPACGAReproducible(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		want    bool
+	}{{0, false}, {1, true}, {3, false}} {
+		s := PACGA{Params: Params{Seed: 1, Threads: tc.threads}}
+		if got := s.Reproducible(); got != tc.want {
+			t.Errorf("Threads %d: Reproducible() = %v, want %v", tc.threads, got, tc.want)
+		}
 	}
 }
 
@@ -484,7 +494,7 @@ func TestRunSyncDiversityRecording(t *testing.T) {
 
 func TestBlockDiversityBounds(t *testing.T) {
 	in := testInstance(t, 27)
-	pop := newPopulation(in, 16, rngForTest(1), false, nil, func(s *schedule.Schedule) float64 { return s.Makespan() })
+	pop := newPopulation(in, 16, rngForTest(1), false, nil)
 	_, d := pop.blockDiversity(0, 16, nil)
 	if d <= 0 || d >= 1 {
 		t.Fatalf("random population diversity %v", d)
@@ -499,63 +509,6 @@ func TestBlockDiversityBounds(t *testing.T) {
 	}
 	if _, d := pop.blockDiversity(3, 3, nil); d != 0 {
 		t.Fatalf("empty block diversity %v", d)
-	}
-}
-
-func TestFlowtimeWeightValidation(t *testing.T) {
-	in := testInstance(t, 28)
-	p := smallParams(1, 71)
-	p.FlowtimeWeight = 1.5
-	if _, err := run(in, p, smallBudget); err == nil {
-		t.Fatal("FlowtimeWeight > 1 accepted")
-	}
-	p.FlowtimeWeight = -0.1
-	if _, err := run(in, p, smallBudget); err == nil {
-		t.Fatal("negative FlowtimeWeight accepted")
-	}
-}
-
-func TestFlowtimeObjectiveOptimizesFlowtime(t *testing.T) {
-	// Pure flowtime weight must yield schedules with flowtime no worse
-	// than the makespan-only objective produces, averaged over seeds.
-	// The local search still chases makespan, so disable it to keep the
-	// comparison about the objective.
-	in := testInstance(t, 29)
-	var ftMakespanObj, ftFlowtimeObj float64
-	const seeds = 4
-	for s := uint64(0); s < seeds; s++ {
-		base := smallParams(1, 200+s)
-		base.LocalProb = 0
-		resM, err := run(in, base, solver.Budget{MaxEvaluations: 6000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withFT := base
-		withFT.FlowtimeWeight = 1
-		resF, err := run(in, withFT, solver.Budget{MaxEvaluations: 6000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ftMakespanObj += resM.Best.Flowtime()
-		ftFlowtimeObj += resF.Best.Flowtime()
-	}
-	if ftFlowtimeObj > ftMakespanObj {
-		t.Fatalf("flowtime objective produced worse flowtime: %v vs %v",
-			ftFlowtimeObj/seeds, ftMakespanObj/seeds)
-	}
-}
-
-func TestFlowtimeObjectiveFitnessSemantics(t *testing.T) {
-	in := testInstance(t, 30)
-	p := smallParams(1, 73)
-	p.FlowtimeWeight = 0.5
-	res, err := run(in, p, smallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5*res.Best.Makespan() + 0.5*res.Best.Flowtime()/float64(in.T)
-	if diff := res.BestFitness - want; diff > 1e-6*want || diff < -1e-6*want {
-		t.Fatalf("BestFitness %v, want weighted objective %v", res.BestFitness, want)
 	}
 }
 

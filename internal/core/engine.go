@@ -45,7 +45,7 @@ func (s PACGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget) (
 
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
-	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.fitness)
+	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule)
 
 	eng := solver.NewEngine(ctx, b)
 	eng.AddEvals(int64(pop.size())) // initial_evaluation of Algorithm 2
@@ -121,10 +121,9 @@ type breeder struct {
 	r   rng.Rand
 	eng *solver.Engine
 
-	p2      *schedule.Schedule
-	neigh   [maxNeighborhood]int
-	cands   [maxNeighborhood]operators.Candidate
-	scratch schedule.Scratch
+	p2    *schedule.Schedule
+	neigh [maxNeighborhood]int
+	cands [maxNeighborhood]operators.Candidate
 	// lsMoves counts this breeder's improving H2LL moves; Solve sums
 	// them after the join.
 	lsMoves int64
@@ -186,10 +185,9 @@ func (b *breeder) breed(cell int, child *schedule.Schedule) float64 {
 		b.lsMoves += int64(p.Local.Apply(child, &b.r))
 	}
 
-	// evaluate: the default makespan objective is an O(1) read of the
-	// indexed completion times; the flowtime-weighted objective runs
-	// through this breeder's scratch arena.
-	fit := p.fitnessWith(child, &b.scratch)
+	// evaluate: the fitness is the makespan, a scan of the maintained
+	// completion times.
+	fit := child.Makespan()
 	b.eng.AddEvals(1)
 	b.eng.Observe(fit)
 	return fit
@@ -246,10 +244,9 @@ func (w *worker) evolve() {
 
 // evolveCell performs one breeding loop iteration (Algorithm 3 lines
 // 3–9) on the given cell: breed an offspring, then install it into the
-// cell under the write lock if the replacement policy accepts it.
+// cell under the write lock if it is strictly better.
 func (w *worker) evolveCell(cell int) {
-	fit := w.breed(cell, w.child)
-	w.pop.replaceIf(cell, w.params.Replacement, w.child, fit)
+	w.pop.replaceIf(cell, w.child, w.breed(cell, w.child))
 }
 
 // aggregateSeries merges per-worker generation series into a

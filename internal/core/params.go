@@ -31,7 +31,9 @@ import (
 // which come from the solver.Budget passed to Solve. DefaultParams
 // returns the paper's Table 1 configuration; zero values for the
 // interface-typed operators are filled with the Table 1 defaults by
-// Solve.
+// Solve. Two choices are fixed rather than configurable: the fitness
+// is the makespan (§2.2), and an offspring replaces its cell only if
+// it is strictly better (Table 1).
 type Params struct {
 	// GridW, GridH are the population mesh dimensions (Table 1: 16×16).
 	GridW, GridH int
@@ -55,8 +57,6 @@ type Params struct {
 	Local operators.LocalSearch
 	// LocalProb is p_ser (Table 1: 1.0).
 	LocalProb float64
-	// Replacement installs the offspring (Table 1: replace if better).
-	Replacement operators.Replacement
 	// Threads is the number of population blocks / worker goroutines
 	// (Table 1: 1–4; §4.2 finds 3 best and we default to 3).
 	Threads int
@@ -81,40 +81,6 @@ type Params struct {
 	// machine m). Diversity preservation is the cellular GA's raison
 	// d'être (§3.1); the series quantifies it.
 	RecordDiversity bool
-	// FlowtimeWeight extends the paper's single-objective fitness
-	// (§2.2, makespan only — the zero value) to the weighted sum
-	//
-	//	(1−w)·makespan + w·flowtime/tasks
-	//
-	// used by the authors' follow-up work on makespan+flowtime
-	// optimization. Flowtime is normalized by the task count so both
-	// terms live on the completion-time scale. Note the H2LL local
-	// search still targets makespan regardless of the weight — it moves
-	// load off the makespan machine — so large weights pair best with a
-	// lower LocalProb. Must lie in [0, 1].
-	FlowtimeWeight float64
-}
-
-// fitness evaluates a schedule under the configured objective. Hot
-// loops that own a worker-local arena should call fitnessWith instead.
-func (p *Params) fitness(s *schedule.Schedule) float64 {
-	if p.FlowtimeWeight <= 0 {
-		return s.Makespan()
-	}
-	w := p.FlowtimeWeight
-	return (1-w)*s.Makespan() + w*s.Flowtime()/float64(s.Inst.T)
-}
-
-// fitnessWith is fitness through a caller-owned scratch arena: the
-// makespan term is an O(1) indexed read, and the flowtime term (when
-// weighted in) buckets into the worker's reusable buffers instead of
-// allocating per evaluation.
-func (p *Params) fitnessWith(s *schedule.Schedule, sc *schedule.Scratch) float64 {
-	if p.FlowtimeWeight <= 0 {
-		return s.Makespan()
-	}
-	w := p.FlowtimeWeight
-	return (1-w)*s.Makespan() + w*s.FlowtimeInto(sc)/float64(s.Inst.T)
 }
 
 // DefaultParams returns the Table 1 parameterization with the §4.2
@@ -131,7 +97,6 @@ func DefaultParams() Params {
 		MutProb:      1.0,
 		Local:        operators.H2LL{Iterations: 10},
 		LocalProb:    1.0,
-		Replacement:  operators.ReplaceIfBetter,
 		Threads:      3,
 		Seed:         1,
 	}
@@ -179,9 +144,6 @@ func (p Params) validate() error {
 		if prob.v < 0 || prob.v > 1 {
 			return fmt.Errorf("core: %s = %v outside [0,1]", prob.name, prob.v)
 		}
-	}
-	if p.FlowtimeWeight < 0 || p.FlowtimeWeight > 1 {
-		return fmt.Errorf("core: FlowtimeWeight = %v outside [0,1]", p.FlowtimeWeight)
 	}
 	return nil
 }

@@ -33,9 +33,9 @@ type population struct {
 // receives a copy of it. This covers both setup_pop and
 // initial_evaluation of Algorithm 2: the random cells are filled in
 // place by Schedule.Randomize in ascending cell order (the exact RNG
-// consumption of the historical per-cell NewRandom loop), and fitness
-// is computed with the engine's objective function in cell order.
-func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule, eval func(*schedule.Schedule) float64) *population {
+// consumption of the historical per-cell NewRandom loop), and each
+// cell's fitness is its makespan.
+func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, warm *schedule.Schedule) *population {
 	if warm != nil && warm.Inst != inst {
 		warm = nil // foreign schedule: ignore rather than corrupt the population
 	}
@@ -56,7 +56,7 @@ func newPopulation(inst *etc.Instance, size int, r *rng.Rand, seedMinMin bool, w
 		}
 	}
 	for i := 0; i < size; i++ {
-		p.fit[i] = eval(p.arena.At(i))
+		p.fit[i] = p.arena.At(i).Makespan()
 	}
 	return p
 }
@@ -88,20 +88,18 @@ func (p *population) snapshotInto(i int, dst *schedule.Schedule) float64 {
 	return f
 }
 
-// replaceIf installs cand (with fitness candFit) into cell i if the
-// replacement policy accepts it against the cell's current fitness, under
-// a write lock. It returns whether the replacement happened. The
-// comparison re-reads the current fitness inside the critical section, so
-// a concurrent improvement cannot be stomped by a stale offspring.
-func (p *population) replaceIf(i int, policy interface{ Accepts(cur, off float64) bool }, cand *schedule.Schedule, candFit float64) bool {
+// replaceIf installs cand (with fitness candFit) into cell i under a
+// write lock if it is strictly better than the cell's current fitness
+// (Table 1: replace if better). The comparison re-reads the current
+// fitness inside the critical section, so a concurrent improvement
+// cannot be stomped by a stale offspring.
+func (p *population) replaceIf(i int, cand *schedule.Schedule, candFit float64) {
 	p.mus[i].Lock()
-	ok := policy.Accepts(p.fit[i], candFit)
-	if ok {
+	if candFit < p.fit[i] {
 		p.arena.At(i).CopyFrom(cand)
 		p.fit[i] = candFit
 	}
 	p.mus[i].Unlock()
-	return ok
 }
 
 // meanFitnessRange averages the fitness of cells [start, end) under read

@@ -53,7 +53,9 @@ func (s PACGA) InitEvals(*etc.Instance) int64 {
 // Reproducible implements solver.Reproducible: the asynchronous engine
 // is bit-reproducible only single-threaded — at >1 thread the fitness
 // values read across block boundaries depend on worker interleaving.
-func (s PACGA) Reproducible() bool { return s.Params.Threads <= 1 }
+// It reads the thread count Solve runs with, so Threads: 0 (the
+// default, 3 workers) is not reproducible.
+func (s PACGA) Reproducible() bool { return s.Params.withDefaults().Threads <= 1 }
 
 // SyncCGA is the synchronous cellular GA (the async-vs-sync ablation)
 // behind the unified solver interface.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gridsched/internal/etc"
-	"gridsched/internal/operators"
 	"gridsched/internal/solver"
 	"gridsched/internal/topology"
 )
@@ -158,25 +157,6 @@ func TestRunAllNeighborhoods(t *testing.T) {
 		if err := res.Best.Validate(); err != nil {
 			t.Fatalf("%v: %v", n, err)
 		}
-	}
-}
-
-func TestRunReplaceAlwaysKeepsBestEver(t *testing.T) {
-	// With ReplaceAlways the population can lose good individuals; the
-	// reported best must still be a valid complete schedule and not
-	// worse than what a fresh random schedule would give on average.
-	in := stressInstance(t, 7)
-	p := DefaultParams()
-	p.GridW, p.GridH = 8, 8
-	p.Threads = 2
-	p.Replacement = operators.ReplaceAlways
-	p.Seed = 13
-	res, err := run(in, p, solver.Budget{MaxEvaluations: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Best.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -35,7 +35,7 @@ func (s SyncCGA) Solve(ctx context.Context, inst *etc.Instance, b solver.Budget)
 
 	root := rng.New(p.Seed)
 	initRNG := root.Split(0)
-	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule, p.fitness)
+	pop := newPopulation(inst, grid.Size(), initRNG, !p.DisableMinMinSeed, p.SeedSchedule)
 
 	// Auxiliary generation buffer: offspring and their fitness, laid
 	// out as one arena so the install sweep copies between contiguous
@@ -104,7 +104,7 @@ loop:
 				break loop
 			}
 			auxFit[cell] = br.breed(cell, aux[cell])
-			accepted[cell] = p.Replacement.Accepts(pop.fitness(cell), auxFit[cell])
+			accepted[cell] = auxFit[cell] < pop.fitness(cell)
 		}
 		// Synchronous replacement: the whole generation installs at once.
 		install(grid.Size())

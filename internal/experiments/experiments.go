@@ -106,7 +106,7 @@ func Table1() string {
 		{"Recombination", fmt.Sprintf("%s, p_comb = %.1f", p.Crossover.Name(), p.CrossProb)},
 		{"Mutation", fmt.Sprintf("%s, p_mut = %.1f", p.Mutation.Name(), p.MutProb)},
 		{"Local search", fmt.Sprintf("%s, p_ser = %.1f", p.Local.Name(), p.LocalProb)},
-		{"Replacement", p.Replacement.String()},
+		{"Replacement", "if-better"},
 		{"Stopping criterion", "wall time / generations / evaluations"},
 		{"Number of threads", fmt.Sprintf("%d (paper sweeps 1..4)", p.Threads)},
 	}

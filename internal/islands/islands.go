@@ -43,9 +43,10 @@ type Config struct {
 	// Migrants is how many elite individuals are sent per migration
 	// (default 1).
 	Migrants int
-	// Neighborhood, Selector, Crossover, Mutation, Local, Replacement
-	// and the probabilities mirror core.Params; nil/zero values take the
-	// Table 1 defaults.
+	// Neighborhood, Selector, Crossover, Mutation, Local and the
+	// probabilities mirror core.Params; nil/zero values take the Table 1
+	// defaults. An offspring replaces its cell only if it is strictly
+	// better, as in PA-CGA.
 	Neighborhood topology.Neighborhood
 	Selector     operators.Selector
 	Crossover    operators.Crossover
@@ -54,7 +55,6 @@ type Config struct {
 	MutProb      float64
 	Local        operators.LocalSearch
 	LocalProb    float64
-	Replacement  operators.Replacement
 	// SeedMinMin seeds island 0's first individual with Min-min.
 	SeedMinMin bool
 	// Seed drives all randomness.
@@ -305,7 +305,7 @@ func (isl *island) evolveCell(cell int) {
 	f := isl.child.Makespan()
 	isl.eng.AddEvals(1)
 	isl.eng.Observe(f)
-	if cfg.Replacement.Accepts(isl.fit[cell], f) {
+	if f < isl.fit[cell] {
 		isl.pop[cell].CopyFrom(isl.child)
 		isl.fit[cell] = f
 	}

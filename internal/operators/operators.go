@@ -1,8 +1,8 @@
 // Package operators implements the variation operators of §3.3: parent
 // selection over a neighborhood, one-point / two-point / uniform
-// crossover, the move mutation, replacement policies, and the paper's new
-// H2LL local search. All operators maintain the schedule's incremental
-// completion-time invariant: they never trigger a full re-evaluation.
+// crossover, the move mutation and the paper's new H2LL local search.
+// All operators maintain the schedule's incremental completion-time
+// invariant: they never trigger a full re-evaluation.
 package operators
 
 import (
@@ -63,7 +63,7 @@ func (BestTwo) Select(cands []Candidate, _ *rng.Rand) (int, int) {
 }
 
 // BinaryTournament draws two independent pairs and keeps each pair's
-// winner; a standard alternative selection kept for ablations.
+// winner. The cMA-LTH baseline and the diversity study select with it.
 type BinaryTournament struct{}
 
 // Name implements Selector.
@@ -83,31 +83,6 @@ func (BinaryTournament) Select(cands []Candidate, r *rng.Rand) (int, int) {
 		return a
 	}
 	return pick(), pick()
-}
-
-// CenterPlusBest always mates the center individual (candidate 0 by
-// convention) with the best of the rest; common in cellular GA variants
-// where the current individual is one parent.
-type CenterPlusBest struct{}
-
-// Name implements Selector.
-func (CenterPlusBest) Name() string { return "center+best" }
-
-// Select implements Selector.
-func (CenterPlusBest) Select(cands []Candidate, _ *rng.Rand) (int, int) {
-	if len(cands) == 0 {
-		panic("operators: CenterPlusBest over empty candidate set")
-	}
-	if len(cands) == 1 {
-		return 0, 0
-	}
-	best := 1
-	for i := 2; i < len(cands); i++ {
-		if cands[i].Fitness < cands[best].Fitness {
-			best = i
-		}
-	}
-	return 0, best
 }
 
 // Crossover recombines two parents into an offspring. The child schedule
@@ -277,63 +252,6 @@ func ParseMutation(name string) (Mutation, error) {
 		return Rebalance{}, nil
 	}
 	return nil, fmt.Errorf("operators: unknown mutation %q", name)
-}
-
-// Replacement decides whether the offspring replaces the current
-// individual.
-type Replacement int
-
-const (
-	// ReplaceIfBetter installs the offspring only on strict makespan
-	// improvement — the paper's policy (Table 1).
-	ReplaceIfBetter Replacement = iota
-	// ReplaceIfBetterOrEqual also accepts equal fitness, allowing
-	// neutral drift across plateaus.
-	ReplaceIfBetterOrEqual
-	// ReplaceAlways installs the offspring unconditionally.
-	ReplaceAlways
-)
-
-// String implements fmt.Stringer.
-func (p Replacement) String() string {
-	switch p {
-	case ReplaceIfBetter:
-		return "if-better"
-	case ReplaceIfBetterOrEqual:
-		return "if-better-or-equal"
-	case ReplaceAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("Replacement(%d)", int(p))
-	}
-}
-
-// ParseReplacement resolves replacement-policy names.
-func ParseReplacement(name string) (Replacement, error) {
-	switch name {
-	case "if-better":
-		return ReplaceIfBetter, nil
-	case "if-better-or-equal":
-		return ReplaceIfBetterOrEqual, nil
-	case "always":
-		return ReplaceAlways, nil
-	}
-	return 0, fmt.Errorf("operators: unknown replacement %q", name)
-}
-
-// Accepts reports whether an offspring with the given makespan replaces a
-// current individual with makespan cur.
-func (p Replacement) Accepts(cur, offspring float64) bool {
-	switch p {
-	case ReplaceIfBetter:
-		return offspring < cur
-	case ReplaceIfBetterOrEqual:
-		return offspring <= cur
-	case ReplaceAlways:
-		return true
-	default:
-		panic(fmt.Sprintf("operators: unknown replacement %d", int(p)))
-	}
 }
 
 // LocalSearch improves a schedule in place and reports how many improving
@@ -544,13 +462,3 @@ func (h H2LL) Apply(s *schedule.Schedule, r *rng.Rand) int {
 	}
 	return moves
 }
-
-// NullSearch is a LocalSearch that does nothing; used where an explicit
-// "no local search" value reads better than H2LL{Iterations: 0}.
-type NullSearch struct{}
-
-// Name implements LocalSearch.
-func (NullSearch) Name() string { return "none" }
-
-// Apply implements LocalSearch.
-func (NullSearch) Apply(*schedule.Schedule, *rng.Rand) int { return 0 }

@@ -133,21 +133,6 @@ func TestBinaryTournamentPrefersBetter(t *testing.T) {
 	}
 }
 
-func TestCenterPlusBest(t *testing.T) {
-	cands := []Candidate{{Cell: 9, Fitness: 50}, {Fitness: 3}, {Fitness: 1}, {Fitness: 2}}
-	p1, p2 := CenterPlusBest{}.Select(cands, nil)
-	if p1 != 0 {
-		t.Fatal("center not selected as first parent")
-	}
-	if cands[p2].Fitness != 1 {
-		t.Fatalf("second parent fitness %v, want 1", cands[p2].Fitness)
-	}
-	p1, p2 = CenterPlusBest{}.Select(cands[:1], nil)
-	if p1 != 0 || p2 != 0 {
-		t.Fatal("single-candidate CenterPlusBest broken")
-	}
-}
-
 // --- Crossover ---
 
 func crossoverSetup(t testing.TB, seed uint64) (*schedule.Schedule, *schedule.Schedule, *schedule.Schedule, *rng.Rand) {
@@ -357,40 +342,6 @@ func TestParseMutation(t *testing.T) {
 	}
 	if _, err := ParseMutation("invert"); err == nil {
 		t.Fatal("accepted bogus mutation")
-	}
-}
-
-// --- Replacement ---
-
-func TestReplacementPolicies(t *testing.T) {
-	cases := []struct {
-		p        Replacement
-		cur, off float64
-		want     bool
-	}{
-		{ReplaceIfBetter, 10, 9, true},
-		{ReplaceIfBetter, 10, 10, false},
-		{ReplaceIfBetter, 10, 11, false},
-		{ReplaceIfBetterOrEqual, 10, 10, true},
-		{ReplaceIfBetterOrEqual, 10, 11, false},
-		{ReplaceAlways, 10, 99, true},
-	}
-	for _, c := range cases {
-		if got := c.p.Accepts(c.cur, c.off); got != c.want {
-			t.Fatalf("%v.Accepts(%v, %v) = %v, want %v", c.p, c.cur, c.off, got, c.want)
-		}
-	}
-}
-
-func TestParseReplacement(t *testing.T) {
-	for _, p := range []Replacement{ReplaceIfBetter, ReplaceIfBetterOrEqual, ReplaceAlways} {
-		got, err := ParseReplacement(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v failed: %v %v", p, got, err)
-		}
-	}
-	if _, err := ParseReplacement("sometimes"); err == nil {
-		t.Fatal("accepted bogus replacement")
 	}
 }
 
@@ -755,18 +706,6 @@ func TestH2LLRespectsMakespanBound(t *testing.T) {
 		if moved == 1 && s.Makespan() > before {
 			t.Fatal("H2LL accepted a move that raised the makespan")
 		}
-	}
-}
-
-func TestNullSearch(t *testing.T) {
-	in := testInstance(t, 8, 2, 16)
-	r := rng.New(19)
-	s := schedule.NewRandom(in, r)
-	if (NullSearch{}).Apply(s, r) != 0 {
-		t.Fatal("NullSearch did something")
-	}
-	if (NullSearch{}).Name() != "none" {
-		t.Fatal("NullSearch name")
 	}
 }
 

@@ -134,7 +134,7 @@ func TestH2LLProperties(t *testing.T) {
 
 func TestSelectorProperties(t *testing.T) {
 	r := rng.New(4)
-	for _, sel := range []Selector{BestTwo{}, BinaryTournament{}, CenterPlusBest{}} {
+	for _, sel := range []Selector{BestTwo{}, BinaryTournament{}} {
 		t.Run(sel.Name(), func(t *testing.T) {
 			for trial := 0; trial < propertyTrials; trial++ {
 				n := 1 + r.Intn(9)

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"gridsched/internal/etc"
 	"gridsched/internal/rng"
@@ -294,74 +293,30 @@ func firstMax(ct []float64) (int, float64) {
 	return w, mx
 }
 
-// Scratch is a reusable arena of buffers for the allocation-heavy
-// schedule queries (FlowtimeInto and callers of TasksOn and
-// MachinesByCompletion). The zero value is ready to use; buffers grow
-// on demand and are retained across calls, so one Scratch per worker
-// removes those queries from the allocator entirely. A Scratch is not
-// safe for concurrent use.
+// Scratch holds the reusable lanes of the batched kernels
+// BatchEvaluate and MoveScores (see batch.go). The zero value is ready
+// to use; the lanes grow on demand and are kept across calls, so a
+// caller that holds one Scratch (a tabu search, a probe loop) runs
+// both kernels without allocating. A Scratch is not safe for
+// concurrent use.
 type Scratch struct {
-	intBuf   []int
-	floatBuf []float64
-
-	// Lanes of the batched kernels (see batch.go). They are separate
-	// from intBuf/floatBuf so BatchEvaluate and MoveScores can be
-	// interleaved with FlowtimeInto and the Ints/Floats helpers without
-	// clobbering each other.
 	batchCT []float64
 	batchLo []float64
 	batchMk []float64
 	moveBuf []float64
 }
 
-// Ints returns a length-n int buffer backed by the arena (contents
-// unspecified).
-func (sc *Scratch) Ints(n int) []int {
-	if cap(sc.intBuf) < n {
-		sc.intBuf = make([]int, n)
-	}
-	sc.intBuf = sc.intBuf[:n]
-	return sc.intBuf
-}
-
-// Floats returns a length-n float64 buffer backed by the arena
-// (contents unspecified).
-func (sc *Scratch) Floats(n int) []float64 {
-	if cap(sc.floatBuf) < n {
-		sc.floatBuf = make([]float64, n)
-	}
-	sc.floatBuf = sc.floatBuf[:n]
-	return sc.floatBuf
-}
-
-// flowtimePool backs the allocation-free convenience Flowtime; workers
-// with a natural place for one should hold their own Scratch and call
-// FlowtimeInto directly.
-var flowtimePool = sync.Pool{New: func() any { return new(Scratch) }}
-
 // Flowtime returns the sum of task finishing times assuming each machine
 // runs its tasks in shortest-processing-time order (the convention of the
-// batch-scheduling literature the paper draws its baselines from). It is
-// provided for instrumentation; the paper optimizes makespan only.
+// batch-scheduling literature the paper draws its baselines from).
+// Unassigned tasks do not count. It is reported next to the makespan,
+// which is what the paper optimizes, and allocates its two buckets per
+// call.
 func (s *Schedule) Flowtime() float64 {
-	sc := flowtimePool.Get().(*Scratch)
-	v := s.FlowtimeInto(sc)
-	flowtimePool.Put(sc)
-	return v
-}
-
-// FlowtimeInto is Flowtime computed through a caller-owned scratch
-// arena: the per-machine task buckets live in the arena's buffers, so
-// repeated calls (the flowtime-weighted fitness of the multi-objective
-// extension) do not allocate.
-func (s *Schedule) FlowtimeInto(sc *Scratch) float64 {
 	m := s.Inst.M
 	// offs[k+1] counts tasks on machine k, then prefix-sums to bucket
 	// offsets, then serves as the per-machine fill cursor.
-	offs := sc.Ints(m + 1)
-	for i := range offs {
-		offs[i] = 0
-	}
+	offs := make([]int, m+1)
 	assigned := 0
 	for _, mac := range s.S {
 		if mac != Unassigned {
@@ -372,7 +327,7 @@ func (s *Schedule) FlowtimeInto(sc *Scratch) float64 {
 	for k := 0; k < m; k++ {
 		offs[k+1] += offs[k]
 	}
-	loads := sc.Floats(assigned)
+	loads := make([]float64, assigned)
 	row := s.Inst.Row
 	for t, mac := range s.S {
 		if mac == Unassigned {
@@ -552,8 +507,8 @@ func (s *Schedule) HammingDistance(o *Schedule) int {
 }
 
 // TasksOn appends to buf the tasks currently assigned to machine m and
-// returns the extended slice. Pass a reusable buffer (or one from a
-// Scratch) to avoid allocations in hot loops.
+// returns the extended slice. Pass a reusable buffer to avoid
+// allocations in hot loops.
 func (s *Schedule) TasksOn(m int, buf []int) []int {
 	for t, mm := range s.S {
 		if mm == m {

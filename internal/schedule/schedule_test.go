@@ -180,17 +180,59 @@ func TestMakespanIncludesReady(t *testing.T) {
 }
 
 func TestFlowtimeSPT(t *testing.T) {
-	// Hand-computed: 1 machine, ETC 2 and 3 -> SPT order finishes at 2
-	// and 5, flowtime 7.
-	in, err := etc.New("tiny", 2, 1, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(in)
-	s.Assign(0, 0)
-	s.Assign(1, 0)
-	if got := s.Flowtime(); !approxEqual(got, 7) {
-		t.Fatalf("flowtime %v, want 7", got)
+	for _, tc := range []struct {
+		name   string
+		tasks  int
+		etc    []float64 // task-major, tasks × len(ready)
+		ready  []float64
+		assign []int
+		want   float64
+	}{{
+		// 1 machine, ETC 2 and 3: SPT order finishes at 2 and 5.
+		name:   "one-machine",
+		tasks:  2,
+		etc:    []float64{2, 3},
+		ready:  []float64{0},
+		assign: []int{0, 0},
+		want:   7,
+	}, {
+		// Machine 0 (ready 1) holds tasks 0, 1 and 4 with ETC 4, 1
+		// and 2: SPT order 1, 2, 4 finishes at 2, 4 and 8 (task order
+		// would give 5, 6 and 8). Machine 1 (ready 0) finishes task 2
+		// at 3, machine 2 (ready 5) task 3 at 7. Task 5 is unassigned
+		// and does not count: 14 + 3 + 7.
+		name:  "three-machines-ready-unassigned",
+		tasks: 6,
+		etc: []float64{
+			4, 9, 9,
+			1, 9, 9,
+			9, 3, 9,
+			9, 9, 2,
+			2, 9, 9,
+			7, 7, 7,
+		},
+		ready:  []float64{1, 0, 5},
+		assign: []int{0, 0, 1, 2, 0, Unassigned},
+		want:   24,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := etc.New("tiny", tc.tasks, len(tc.ready), tc.etc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in, err = in.WithReady(tc.ready); err != nil {
+				t.Fatal(err)
+			}
+			s := New(in)
+			for task, m := range tc.assign {
+				if m != Unassigned {
+					s.Assign(task, m)
+				}
+			}
+			if got := s.Flowtime(); !approxEqual(got, tc.want) {
+				t.Fatalf("flowtime %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
